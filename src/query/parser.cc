@@ -177,6 +177,29 @@ class Parser {
   }
 
   Result<LsExprPtr> LsExprRule() {
+    return Nested([this] { return LsExprBody(); });
+  }
+
+  Result<ExprPtr> RelExpr() {
+    return Nested([this] { return RelExprBody(); });
+  }
+
+  /// Parses one subexpression a level deeper, refusing input nested past
+  /// kMaxNestingDepth: every later stage (optimize, lower, execute, print,
+  /// destroy) recurses over the tree, so the limit guards them all.
+  template <typename Rule>
+  auto Nested(Rule rule) -> decltype(rule()) {
+    if (depth_ == kMaxNestingDepth) {
+      return Error(StrPrintf("expression nests deeper than %d levels",
+                             kMaxNestingDepth));
+    }
+    ++depth_;
+    auto out = rule();
+    --depth_;
+    return out;
+  }
+
+  Result<LsExprPtr> LsExprBody() {
     if (At(TokenKind::kLBrace)) {
       Take();
       std::vector<Interval> ivs;
@@ -227,7 +250,7 @@ class Parser {
     return Binary(kind, std::move(l), std::move(r));
   }
 
-  Result<ExprPtr> RelExpr() {
+  Result<ExprPtr> RelExprBody() {
     const std::string kw = PeekKeyword();
     if (kw.empty()) return Error("expected relation expression");
 
@@ -367,6 +390,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

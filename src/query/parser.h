@@ -53,6 +53,12 @@
 
 namespace hrdm::query {
 
+/// \brief The deepest nesting of subexpressions the parser accepts. Each
+/// relation- or lifespan-sorted subexpression on the path from the root
+/// counts one level, so `timeslice(emp, {[1, 2]})` nests two deep. Deeper
+/// input is a ParseError, never a stack overflow in a later stage.
+inline constexpr int kMaxNestingDepth = 256;
+
 /// \brief A parsed query: either relation-sorted or lifespan-sorted.
 using ParsedQuery = std::variant<ExprPtr, LsExprPtr>;
 

@@ -21,9 +21,9 @@
 ///  * `LifespanIndex` — an interval index over tuple lifespans, answering
 ///    "which tuples are alive during window L" for TIME-SLICE windows and
 ///    windowed SELECT-IF/SELECT-WHEN evaluation. Tuples are coded one entry
-///    per maximal lifespan interval, sorted by interval start, with an
-///    implicit segment tree of interval ends for O(log n + k) overlap
-///    queries.
+///    per maximal lifespan interval, sorted by interval start and cut into
+///    bounded blocks that each cache their largest interval end, so every
+///    write touches one block and a probe skips blocks that end too early.
 ///
 ///  * `ValueIndex` — an equality index over one attribute's values, keyed
 ///    by the time-invariant `JoinKeyDigest` of the value when the attribute
@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -58,34 +59,53 @@ namespace hrdm::storage {
 /// queries "which tuples are alive at some chronon of L".
 ///
 /// Entries are (interval, tuple) pairs — one per maximal interval of each
-/// tuple's lifespan — kept sorted by interval begin. An implicit segment
-/// tree over interval ends prunes whole subranges whose intervals all end
-/// before the query window, giving O(log n + k) probes. The tree is
-/// rebuilt eagerly at the end of every mutation (O(n), dominated by the
-/// sorted-insert / re-sort cost already paid there), which keeps `Probe`
-/// genuinely const — a published index can be probed from any number of
-/// reader sessions concurrently with no hidden writes.
+/// tuple's lifespan — kept sorted by interval begin, with equal begins in
+/// insertion order. The sorted sequence is stored as a one-level B+-tree:
+/// consecutive blocks of at most `kBlockSize` entries, each caching the
+/// largest interval end it holds. Costs, for n entries and a tuple of c
+/// lifespan intervals:
+///
+///  * `Add`: O(c · (log n + kBlockSize + n / kBlockSize)) — a binary search
+///    to the block, an insertion inside it, and (rarely) a block split that
+///    shifts the block array.
+///  * `Remove`: the same, plus the entries that share the removed
+///    interval's begin (matched by tuple pointer).
+///  * `Probe`: one pass over the block array per window interval; blocks
+///    that begin after the window stop the pass, blocks whose largest end
+///    precedes it are skipped, the rest are scanned up to the window end.
+///
+/// No write rebuilds anything global: a commit or a replayed WAL record
+/// costs a binary search plus block-local work (and, on the rare split or
+/// merge, a shift of the block array) however large the relation grows.
+/// `Probe` is const and never writes, so a published index can be probed
+/// from any number of reader sessions concurrently.
 class LifespanIndex {
  public:
-  /// \brief Adds every lifespan interval of `t`. O(intervals · n) worst
-  /// case (sorted insertion); use Rebuild for bulk loads.
+  /// \brief Adds every lifespan interval of `t`. A tuple is added at most
+  /// once before it is removed.
   void Add(const TuplePtr& t);
 
-  /// \brief Removes every entry of the exact tuple object `t` (pointer
-  /// identity — the storage engine replaces tuples wholesale). O(n).
+  /// \brief Removes the entries of the exact tuple object `t` (pointer
+  /// identity — the storage engine replaces tuples wholesale), found by
+  /// binary search on `t`'s own interval begins. No-op when absent.
   void Remove(const TuplePtr& t);
 
-  /// \brief Drops everything and re-indexes `rel` in one O(n log n) pass.
+  /// \brief Drops everything and re-indexes `rel` in one O(n log n) pass;
+  /// equal begins keep `rel`'s tuple order.
   void Rebuild(const Relation& rel);
 
-  /// \brief All tuples whose lifespan overlaps `window`, deduplicated.
-  /// The result is exact for lifespans (entries are real intervals, not
-  /// extents), but callers still re-apply the algebra kernel for the
-  /// enclosing operator's semantics.
+  /// \brief All tuples whose lifespan overlaps `window`, deduplicated, in
+  /// entry order (per window interval). The result is exact for lifespans
+  /// (entries are real intervals, not extents), but callers still re-apply
+  /// the algebra kernel for the enclosing operator's semantics.
   std::vector<TuplePtr> Probe(const Lifespan& window) const;
 
   /// \brief Number of (interval, tuple) entries.
-  size_t entry_count() const { return entries_.size(); }
+  size_t entry_count() const { return entry_count_; }
+
+  /// \brief A block splits in two when it grows past this many entries and
+  /// merges with a neighbour when it shrinks below a quarter of it.
+  static constexpr size_t kBlockSize = 128;
 
  private:
   struct Entry {
@@ -93,15 +113,21 @@ class LifespanIndex {
     TimePoint end;
     TuplePtr tuple;
   };
+  struct Block {
+    std::vector<Entry> entries;  // never empty; sorted by begin
+    TimePoint max_end = kTimeMin;
+  };
 
-  void RebuildTree();
-  void Collect(size_t node, size_t lo, size_t hi, TimePoint qb, TimePoint qe,
-               std::vector<const Entry*>* out) const;
+  static TimePoint MaxEnd(const std::vector<Entry>& entries);
+  /// A block holding `entries` (moved out), with room for kBlockSize + 1.
+  static Block NewBlock(std::span<Entry> entries);
+  void Insert(Entry e);
+  void Erase(const Interval& iv, const Tuple* t);
+  /// Restores the size bounds of block `b` after an insert or erase.
+  void Rebalance(size_t b);
 
-  std::vector<Entry> entries_;  // sorted by begin
-  /// Segment tree over entries_ holding the max interval end per subtree;
-  /// rebuilt eagerly by every mutation so const probes never write.
-  std::vector<TimePoint> max_end_;
+  std::vector<Block> blocks_;  // concatenated: all entries, sorted by begin
+  size_t entry_count_ = 0;
 };
 
 /// \brief Equality index over one attribute: constant-valued tuples are
@@ -119,8 +145,16 @@ class ValueIndex {
   /// after schema evolution; callers follow with Rebuild.
   void set_attr_index(size_t attr_index) { attr_ = attr_index; }
 
+  /// \brief Files `t` under its value's bucket, or in the varying list. A
+  /// tuple is added at most once before it is removed.
   void Add(const TuplePtr& t);
+
+  /// \brief Removes `t` from its bucket (a scan of that one bucket) or from
+  /// the varying list (O(1): a swap with the last element, found through a
+  /// position map the first such removal after a Rebuild builds). The
+  /// varying list's order is therefore unspecified.
   void Remove(const TuplePtr& t);
+
   void Rebuild(const Relation& rel);
 
   /// \brief Candidate tuples for `attr = key`: the digest bucket of `key`
@@ -142,9 +176,17 @@ class ValueIndex {
   size_t entry_count() const { return constant_count_ + varying_.size(); }
 
  private:
+  /// The digest bucket `t` belongs in, or nullopt for the varying list.
+  std::optional<uint64_t> BucketOf(const Tuple& t) const;
+
   size_t attr_;
   std::unordered_map<uint64_t, std::vector<TuplePtr>> buckets_;
   std::vector<TuplePtr> varying_;
+  /// Position of each varying tuple in varying_. Rebuild leaves it empty
+  /// and the first varying Remove fills it, so bulk builds (schema
+  /// evolution, recovery) pay nothing for it. Complete iff its size equals
+  /// varying_'s; Add keeps a complete map complete.
+  std::unordered_map<const Tuple*, size_t> varying_pos_;
   size_t constant_count_ = 0;
 };
 

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "algebra/when.h"
+#include "query/optimizer.h"
 #include "query/parser.h"
+#include "query/plan.h"
 #include "util/random.h"
 #include "workload/generators.h"
 
@@ -132,6 +134,50 @@ TEST(ExecutorTest, StockMarketFigure6Queries) {
                    db);
   ASSERT_TRUE(price.ok());
   EXPECT_EQ(price->size(), 50u);
+}
+
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// Queries nested exactly as deep as the parser accepts must run through
+// every stage that recurses over the tree — optimize, lower, drain, the
+// materializing oracle, printing and destruction — without exhausting the
+// stack (the sanitizer builds have the largest frames).
+TEST(ExecutorTest, NestingLimitSurvivesTheWholeChain) {
+  auto db = PersonnelDb();
+  const int d = kMaxNestingDepth;
+  const std::string shapes[] = {
+      Repeat("timeslice(", d - 1) + "emp" + Repeat(", {[1, 50]})", d - 1),
+      Repeat("select_if(", d - 1) + "emp" +
+          Repeat(", Salary >= 0, exists, {[1, 60]})", d - 1),
+      Repeat("project(", d - 1) + "emp" + Repeat(", Name, Salary)", d - 1),
+      Repeat("union(emp, ", d - 1) + "emp" + Repeat(")", d - 1),
+      Repeat("aggregate(", d - 1) + "emp" + Repeat(", count)", d - 1),
+      Repeat("timeslice(emp, when(", (d - 1) / 2) + "emp" +
+          Repeat("))", (d - 1) / 2),
+      "timeslice(emp, " + Repeat("lunion({[1, 2]}, ", d - 2) + "{[3, 4]}" +
+          Repeat(")", d - 2) + ")",
+  };
+  for (const std::string& text : shapes) {
+    SCOPED_TRACE(text.substr(0, 40));
+    auto expr = ParseExpr(text);
+    ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+    auto plan = Plan::Lower(Optimize(*expr), DatabaseResolver(db),
+                            DatabasePlanOptions(db));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto got = plan->Drain();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto want = EvalMaterializing(*expr, DatabaseResolver(db));
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_TRUE(got->EqualsAsSet(*want));
+    EXPECT_TRUE(ParseExpr((*expr)->ToString()).ok());
+  }
+  EXPECT_FALSE(ParseExpr(Repeat("timeslice(", d) + "emp" +
+                         Repeat(", {[1, 50]})", d))
+                   .ok());
 }
 
 }  // namespace

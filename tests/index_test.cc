@@ -11,6 +11,7 @@
 
 #include <algorithm>
 
+#include "algebra/join.h"
 #include "query/executor.h"
 #include "query/optimizer.h"
 #include "query/plan.h"
@@ -165,6 +166,175 @@ TEST(ValueIndexTest, RemoveAndReplaceKeepBucketsExact) {
   EXPECT_TRUE(index.Probe(Value::Int(5)).empty());
   EXPECT_TRUE(index.buckets().empty());
 }
+
+// --- model-based: random maintenance against a brute-force reference -------
+
+constexpr const char* kModelSeedEnv = "HRDM_INDEX_MODEL_SEEDS";
+
+/// The brute-force reference: one entry per lifespan interval in a plain
+/// vector, inserted at the upper bound of its begin (equal begins stay in
+/// insertion order), probed by a linear overlap scan.
+class ReferenceIndex {
+ public:
+  void Add(const TuplePtr& t) {
+    for (const Interval& iv : t->lifespan().intervals()) {
+      auto pos = std::upper_bound(
+          entries_.begin(), entries_.end(), iv.begin,
+          [](TimePoint b, const Entry& e) { return b < e.begin; });
+      entries_.insert(pos, Entry{iv.begin, iv.end, t});
+    }
+  }
+  void Remove(const TuplePtr& t) {
+    std::erase_if(entries_, [&](const Entry& e) { return e.tuple == t; });
+  }
+  void Rebuild(const Relation& rel) {
+    entries_.clear();
+    for (const TuplePtr& t : rel.tuple_ptrs()) Add(t);
+  }
+  std::vector<const Tuple*> Probe(const Lifespan& window) const {
+    std::vector<const Tuple*> out;
+    for (const Interval& iv : window.intervals()) {
+      for (const Entry& e : entries_) {
+        if (e.begin <= iv.end && e.end >= iv.begin &&
+            std::find(out.begin(), out.end(), e.tuple.get()) == out.end()) {
+          out.push_back(e.tuple.get());
+        }
+      }
+    }
+    return out;
+  }
+  size_t size() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    TimePoint begin;
+    TimePoint end;
+    TuplePtr tuple;
+  };
+  std::vector<Entry> entries_;
+};
+
+/// A tuple whose lifespan has one to three intervals, each beginning on a
+/// multiple of 5 (so equal begins are common), and whose X is
+/// either a constant from a small domain or varies over the lifespan.
+TuplePtr RandomModelTuple(const SchemePtr& scheme, Rng* rng, int id) {
+  std::vector<Interval> ivs;
+  const int pieces = static_cast<int>(rng->Uniform(1, 3));
+  for (int i = 0; i < pieces; ++i) {
+    const TimePoint b = 5 * rng->Uniform(0, 5) + 30 * i;
+    ivs.push_back(Interval{b, b + rng->Uniform(0, 12)});
+  }
+  const Lifespan l = Lifespan::FromIntervals(std::move(ivs));
+  Tuple::Builder b(scheme, l);
+  b.SetConstant("Id", Value::String("m" + std::to_string(id)));
+  b.SetAt("X", l.Min(), Value::Int(rng->Uniform(0, 3)));
+  if (l.Max() > l.Min() && rng->Chance(0.3)) {
+    b.SetAt("X", l.Max(), Value::Int(4 + rng->Uniform(0, 3)));
+  }
+  b.SetAt("Y", l.Min(), Value::String("y"));
+  return std::make_shared<const Tuple>(*std::move(b).Build());
+}
+
+/// Value-probe candidates the index contract promises for `key`: every
+/// constant-valued tuple in key's digest bucket, plus every varying one.
+std::vector<const Tuple*> ReferenceValueProbe(
+    const std::vector<TuplePtr>& live, size_t attr, const Value& key) {
+  std::vector<const Tuple*> out;
+  for (const TuplePtr& t : live) {
+    const TemporalValue& v = t->value(attr);
+    if (!v.IsConstant() ||
+        JoinKeyDigest(v.ConstantValue()) == JoinKeyDigest(key)) {
+      out.push_back(t.get());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<const Tuple*> Raw(const std::vector<TuplePtr>& ts) {
+  std::vector<const Tuple*> out;
+  out.reserve(ts.size());
+  for (const TuplePtr& t : ts) out.push_back(t.get());
+  return out;
+}
+
+class IndexModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IndexModelTest, RandomMaintenanceMatchesBruteForce) {
+  SCOPED_TRACE(hrdm::testing::SeedTrace(kModelSeedEnv, GetParam()));
+  Rng rng(GetParam());
+  SchemePtr scheme = ObjScheme();
+  const size_t x = *scheme->RequireIndex("X");
+  RelationIndexes indexes;
+  indexes.EnableLifespan(Relation(scheme));
+  indexes.EnableValue(Relation(scheme), "X", x);
+  ReferenceIndex reference;
+  std::vector<TuplePtr> live;
+  int next_id = 0;
+
+  auto check = [&](int op) {
+    ASSERT_EQ(indexes.lifespan()->entry_count(), reference.size())
+        << "after op " << op;
+    ASSERT_EQ(indexes.value("X")->entry_count(), live.size())
+        << "after op " << op;
+    for (int w = 0; w < 4; ++w) {
+      const TimePoint b = rng.Uniform(0, 110);
+      Lifespan window = Span(b, b + rng.Uniform(0, 15));
+      if (w == 3) window = window.Union(Span(b + 30, b + 35));
+      ASSERT_EQ(Raw(indexes.lifespan()->Probe(window)),
+                reference.Probe(window))
+          << "window " << window.ToString() << " after op " << op;
+    }
+    const Value key = Value::Int(rng.Uniform(0, 7));
+    std::vector<const Tuple*> got = Raw(indexes.value("X")->Probe(key));
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, ReferenceValueProbe(live, x, key)) << "after op " << op;
+  };
+
+  // Each cycle grows the index well past several blocks, then drains it
+  // to zero entries, so splits and merges happen at every block boundary
+  // and the last block empties out.
+  const size_t target = 6 * LifespanIndex::kBlockSize;
+  int op = 0;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    for (const bool grow : {true, false}) {
+      while (grow ? reference.size() < target : !live.empty()) {
+        const double roll = rng.NextDouble();
+        if (live.empty() || roll < (grow ? 0.55 : 0.15)) {
+          TuplePtr t = RandomModelTuple(scheme, &rng, next_id++);
+          indexes.OnInsert(t);
+          reference.Add(t);
+          live.push_back(std::move(t));
+        } else if (roll < (grow ? 0.75 : 0.85)) {
+          const size_t i = rng.Index(live.size());
+          indexes.OnRemove(live[i]);
+          reference.Remove(live[i]);
+          live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        } else if (roll < 0.99) {
+          const size_t i = rng.Index(live.size());
+          TuplePtr t = RandomModelTuple(scheme, &rng, next_id++);
+          indexes.OnReplace(live[i], t);
+          reference.Remove(live[i]);
+          reference.Add(t);
+          live[i] = std::move(t);
+        } else {
+          Relation rel(scheme);
+          for (const TuplePtr& t : live) ASSERT_TRUE(rel.Insert(t).ok());
+          ASSERT_TRUE(indexes.Rebuild(rel).ok());
+          reference.Rebuild(rel);
+        }
+        if (++op % 5 == 0) check(op);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      check(op);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexModelTest,
+                         ::testing::ValuesIn(hrdm::testing::SeedsFromEnv(
+                             kModelSeedEnv, {1, 2, 3, 7, 42})));
 
 // --- access-path choice ------------------------------------------------------
 

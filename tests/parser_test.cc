@@ -142,6 +142,39 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseLsExpr("emp").ok());
 }
 
+std::string Repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// `depth` nested relation-sorted levels: depth-1 timeslices around `emp`.
+std::string NestedTimeslice(int depth) {
+  return Repeat("timeslice(", depth - 1) + "emp" +
+         Repeat(", {[1, 50]})", depth - 1);
+}
+
+TEST(ParserTest, NestingLimit) {
+  EXPECT_TRUE(ParseExpr(NestedTimeslice(kMaxNestingDepth)).ok());
+  auto past = ParseExpr(NestedTimeslice(kMaxNestingDepth + 1));
+  ASSERT_FALSE(past.ok());
+  EXPECT_EQ(past.status().code(), StatusCode::kParseError);
+  EXPECT_NE(past.status().message().find("nests deeper than"),
+            std::string::npos)
+      << past.status().ToString();
+
+  // Lifespan-sorted nesting counts against the same limit.
+  auto ls = [](int depth) {
+    return Repeat("lunion({[1, 2]}, ", depth - 1) + "{[3, 4]}" +
+           Repeat(")", depth - 1);
+  };
+  EXPECT_TRUE(ParseLsExpr(ls(kMaxNestingDepth)).ok());
+  EXPECT_FALSE(ParseLsExpr(ls(kMaxNestingDepth + 1)).ok());
+
+  // Input that once overflowed the stack is now an ordinary error.
+  EXPECT_FALSE(ParseExpr(NestedTimeslice(40000)).ok());
+}
+
 TEST(ParserTest, ParseQueryTriesBothSorts) {
   auto q1 = ParseQuery("select_when(r, A = 1)");
   ASSERT_TRUE(q1.ok());

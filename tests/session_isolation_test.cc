@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include "query/executor.h"
+#include "query/parser.h"
+#include "query/plan.h"
 #include "session/session.h"
 #include "storage/database.h"
 #include "storage/storage_engine.h"
@@ -143,6 +145,114 @@ TEST(SessionIsolationTest, SnapshotFrozenAcrossIndexDdl) {
   // rendering); the pinned one keeps the old registration set.
   EXPECT_EQ(s.ToString(), frozen);
   EXPECT_NE(db.ToString(), frozen);
+}
+
+// Drains `hrql` through the session's own plan options and reports the
+// result rendering plus whether the plan read the lifespan index.
+struct IndexedOutcome {
+  std::string rendering;
+  bool used_lifespan_index = false;
+};
+
+IndexedOutcome RunIndexed(const Session& s, const std::string& hrql) {
+  IndexedOutcome out;
+  auto expr = query::ParseExpr(hrql);
+  if (!expr.ok()) return {"parse error: " + expr.status().ToString()};
+  auto plan = query::Plan::Lower(*expr, query::VersionResolver(s.version()),
+                                 s.MakePlanOptions());
+  if (!plan.ok()) return {"lower error: " + plan.status().ToString()};
+  out.rendering = Outcome(plan->Drain());
+  out.used_lifespan_index = plan->stats().scans_lifespan_index > 0;
+  return out;
+}
+
+TEST(SessionIsolationTest, LifespanIndexProbesStayFrozenWhileWriterMutates) {
+  // Large enough that timeslice takes the lifespan-index path and the
+  // index spans several blocks, so the writer's births, deaths,
+  // reincarnations and assignments split and merge blocks of the copy it
+  // publishes while the session keeps probing the pinned one.
+  constexpr int kObjects = 600;
+  constexpr TimePoint kHorizon = 200;
+  const Lifespan full = Span(0, kHorizon - 1);
+  Database db;
+  ASSERT_TRUE(
+      db.CreateRelation(
+            "obj",
+            {{"Id", DomainType::kString, full, InterpolationKind::kDiscrete},
+             {"X", DomainType::kInt, full, InterpolationKind::kStepwise}},
+            {"Id"})
+          .ok());
+  ASSERT_TRUE(db.CreateLifespanIndex("obj").ok());
+  ASSERT_TRUE(db.CreateValueIndex("obj", "X").ok());
+  Rng rng(11);
+  auto key = [](int i) {
+    return std::vector<Value>{Value::String("o" + std::to_string(i))};
+  };
+  auto birth = [&](int i) {
+    const SchemePtr scheme = *db.catalog().Get("obj");
+    const TimePoint b = rng.Uniform(0, kHorizon - 20);
+    Tuple::Builder builder(scheme, Span(b, b + rng.Uniform(0, 19)));
+    builder.SetConstant("Id", key(i)[0]);
+    builder.SetAt("X", b, Value::Int(rng.Uniform(0, 9)));
+    return db.Insert("obj", *std::move(builder).Build());
+  };
+  for (int i = 0; i < kObjects; ++i) ASSERT_TRUE(birth(i).ok());
+
+  const std::vector<std::string> queries = {
+      "timeslice(obj, {[0, 10]})",
+      "timeslice(obj, {[50, 60]})",
+      "timeslice(obj, {[90, 95], [150, 170]})",
+  };
+  Session s = Session::Open(db);
+  std::vector<std::string> frozen;
+  for (const std::string& q : queries) {
+    const IndexedOutcome o = RunIndexed(s, q);
+    ASSERT_TRUE(o.used_lifespan_index) << q;
+    frozen.push_back(o.rendering);
+  }
+  auto replica = Database::DecodeSnapshot(s.EncodeSnapshot());
+  ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(frozen[i], DatabaseOutcome(*replica, queries[i])) << queries[i];
+  }
+
+  int born = kObjects;
+  for (int step = 0; step < 400; ++step) {
+    const int victim = static_cast<int>(rng.Uniform(0, born - 1));
+    const TimePoint t = rng.Uniform(1, kHorizon - 2);
+    switch (rng.Uniform(0, 3)) {
+      case 0:
+        (void)birth(born++);
+        break;
+      case 1:
+        (void)db.EndLifespan("obj", key(victim), t);
+        break;
+      case 2:
+        (void)db.Reincarnate("obj", key(victim), Span(t, kHorizon - 1));
+        break;
+      default:
+        (void)db.Assign("obj", key(victim), "X", Span(t, t + 1),
+                        Value::Int(rng.Uniform(0, 9)));
+        break;
+    }
+    if (step % 20 != 19) continue;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const IndexedOutcome o = RunIndexed(s, queries[i]);
+      ASSERT_TRUE(o.used_lifespan_index) << queries[i];
+      ASSERT_EQ(o.rendering, frozen[i])
+          << queries[i] << " drifted by step " << step;
+    }
+  }
+  // The live database moved on, and its own index path agrees with a
+  // replica of it (replicas carry no index data, so they scan).
+  Session live = Session::Open(db);
+  auto live_replica = Database::DecodeSnapshot(live.EncodeSnapshot());
+  ASSERT_TRUE(live_replica.ok()) << live_replica.status().ToString();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const std::string now = RunIndexed(live, queries[i]).rendering;
+    EXPECT_NE(now, frozen[i]) << queries[i];
+    EXPECT_EQ(now, DatabaseOutcome(*live_replica, queries[i])) << queries[i];
+  }
 }
 
 TEST(SessionIsolationTest, VersionIdsAreMonotonicPerCommit) {
