@@ -96,6 +96,20 @@ Result<Relation> DrainCursor(Cursor* cursor) {
   return out;
 }
 
+/// Pulls `cursor` to end of stream, appending every handle to `out` and
+/// counting it in PlanStats as buffered — the drain of every join side that
+/// is held whole (nested-loop right input, hash build and parallel probe
+/// sides, both merge sides). The caller releases the count.
+Status DrainHandles(Cursor* cursor, std::vector<TuplePtr>& out,
+                    PlanStats* stats) {
+  while (true) {
+    HRDM_ASSIGN_OR_RETURN(TupleBatch* batch, cursor->NextBatch());
+    if (!batch) return Status::OK();
+    for (TuplePtr& t : *batch) out.push_back(std::move(t));
+    stats->OnBuffer(batch->size());
+  }
+}
+
 /// Evaluates a lifespan-sorted window expression against the same context
 /// as the enclosing plan, so the relations a `when(e)` subquery
 /// materializes are visible in `peak_buffered` (they are genuine
@@ -194,39 +208,6 @@ TuplePtr PlanContext::AdoptTuple(Tuple&& t) {
   // Aliasing handle: shares the arena's control block, points at the
   // arena-resident tuple — escaping handles keep the whole arena alive.
   return TuplePtr(arena, obj);
-}
-
-// --- Cursor (tuple-at-a-time compatibility shim) -----------------------------
-
-Result<TuplePtr> Cursor::Next() {
-  while (true) {
-    if (read_ != nullptr && read_pos_ < read_->size()) {
-      return std::move((*read_)[read_pos_++]);
-    }
-    if (read_done_) return TuplePtr();
-    HRDM_ASSIGN_OR_RETURN(read_, NextBatch());
-    read_pos_ = 0;
-    if (read_ == nullptr) {
-      read_done_ = true;
-      return TuplePtr();
-    }
-  }
-}
-
-// --- ScalarCursor ------------------------------------------------------------
-
-Result<TupleBatch*> ScalarCursor::NextBatch() {
-  if (done_) return nullptr;
-  batch_.clear();
-  while (batch_.size() < ctx_->batch_size) {
-    HRDM_ASSIGN_OR_RETURN(TuplePtr t, NextTuple());
-    if (!t) {
-      done_ = true;
-      break;
-    }
-    batch_.push_back(std::move(t));
-  }
-  return EmitOrEnd(batch_);
 }
 
 // --- ScanCursor --------------------------------------------------------------
@@ -472,54 +453,12 @@ Result<TupleBatch*> TimeSliceCursor::NextBatch() {
   }
 }
 
-// --- ProductJoinCursor -------------------------------------------------------
-
-ProductJoinCursor::ProductJoinCursor(CursorPtr left, CursorPtr right,
-                                     SchemePtr out_scheme, PlanContext* ctx)
-    : ScalarCursor(std::move(out_scheme), ctx),
-      left_(std::move(left)),
-      right_(std::move(right)) {}
-
-ProductJoinCursor::~ProductJoinCursor() {
-  stats_->OnRelease(right_buffer_.size());
-}
-
-Result<TuplePtr> ProductJoinCursor::NextTuple() {
-  if (!primed_) {
-    primed_ = true;
-    while (true) {
-      HRDM_ASSIGN_OR_RETURN(TuplePtr t, right_->Next());
-      if (!t) break;
-      right_buffer_.push_back(std::move(t));
-      stats_->OnBuffer(1);
-    }
-  }
-  if (right_buffer_.empty()) {
-    // The product is empty, but the left side must still be evaluated so
-    // its runtime errors surface exactly as in the materializing path
-    // (which evaluates both operands before applying the operator).
-    while (true) {
-      HRDM_ASSIGN_OR_RETURN(TuplePtr t, left_->Next());
-      if (!t) return TuplePtr();
-    }
-  }
-  while (true) {
-    if (!current_left_ || right_pos_ >= right_buffer_.size()) {
-      HRDM_ASSIGN_OR_RETURN(current_left_, left_->Next());
-      if (!current_left_) return TuplePtr();
-      right_pos_ = 0;
-    }
-    return ProductTuple(*current_left_, *right_buffer_[right_pos_++],
-                        scheme_);
-  }
-}
-
 // --- NestedLoopJoinCursor ----------------------------------------------------
 
 NestedLoopJoinCursor::NestedLoopJoinCursor(CursorPtr left, CursorPtr right,
                                            JoinAssembly assembly,
                                            JoinPairFn pair, PlanContext* ctx)
-    : ScalarCursor(assembly.scheme(), ctx),
+    : Cursor(assembly.scheme(), ctx),
       left_(std::move(left)),
       right_(std::move(right)),
       assembly_(std::move(assembly)),
@@ -531,37 +470,37 @@ NestedLoopJoinCursor::~NestedLoopJoinCursor() {
   stats_->OnRelease(right_buffer_.size());
 }
 
-Result<TuplePtr> NestedLoopJoinCursor::NextTuple() {
+Result<TupleBatch*> NestedLoopJoinCursor::NextBatch() {
   if (!primed_) {
     primed_ = true;
-    while (true) {
-      HRDM_ASSIGN_OR_RETURN(TuplePtr t, right_->Next());
-      if (!t) break;
-      right_buffer_.push_back(std::move(t));
-      stats_->OnBuffer(1);
-    }
+    HRDM_RETURN_IF_ERROR(DrainHandles(right_.get(), right_buffer_, stats_));
   }
-  if (right_buffer_.empty()) {
-    // The join is empty, but the left side must still be evaluated so its
-    // runtime errors surface exactly as in the materializing path (which
-    // evaluates both operands before applying the operator).
-    while (true) {
-      HRDM_ASSIGN_OR_RETURN(TuplePtr t, left_->Next());
-      if (!t) return TuplePtr();
+  // Fill the output batch pair by pair, suspending wherever it fills. With
+  // an empty right input every left tuple finishes at once, so the left
+  // side is still pulled to its end — evaluated, and its runtime errors
+  // surfaced, exactly as in the materializing path.
+  out_.clear();
+  while (out_.size() < ctx_->batch_size) {
+    if (left_batch_ == nullptr || left_pos_ >= left_batch_->size()) {
+      HRDM_ASSIGN_OR_RETURN(left_batch_, left_->NextBatch());
+      left_pos_ = 0;
+      if (left_batch_ == nullptr) break;  // left exhausted
     }
-  }
-  while (true) {
-    if (!current_left_ || right_pos_ >= right_buffer_.size()) {
-      HRDM_ASSIGN_OR_RETURN(current_left_, left_->Next());
-      if (!current_left_) return TuplePtr();
+    const Tuple& t1 = *(*left_batch_)[left_pos_];
+    while (right_pos_ < right_buffer_.size() &&
+           out_.size() < ctx_->batch_size) {
+      const Tuple& t2 = *right_buffer_[right_pos_++];
+      ++stats_->join_pairs_tested;
+      HRDM_ASSIGN_OR_RETURN(Lifespan l, pair_(t1, t2));
+      if (l.empty()) continue;
+      out_.push_back(ctx_->AdoptTuple(assembly_.Assemble(t1, t2, l)));
+    }
+    if (right_pos_ >= right_buffer_.size()) {
       right_pos_ = 0;
+      ++left_pos_;
     }
-    const Tuple& t2 = *right_buffer_[right_pos_++];
-    ++stats_->join_pairs_tested;
-    HRDM_ASSIGN_OR_RETURN(Lifespan l, pair_(*current_left_, t2));
-    if (l.empty()) continue;
-    return ctx_->AdoptTuple(assembly_.Assemble(*current_left_, t2, l));
   }
+  return EmitOrEnd(out_);
 }
 
 // --- HashEquiJoinCursor ------------------------------------------------------
@@ -633,33 +572,16 @@ Status HashEquiJoinCursor::Prime() {
     prebuilt_.reset();
     return Status::OK();
   }
-  Cursor* build_child = build_left_ ? left_.get() : right_.get();
-  if (parallelism_ > 1) {
-    // Parallel build: the drain stays on the coordinator (cursor pulls are
-    // serial by design), the digesting goes to the pool.
-    while (true) {
-      HRDM_ASSIGN_OR_RETURN(TupleBatch* batch, build_child->NextBatch());
-      if (!batch) break;
-      for (TuplePtr& t : *batch) {
-        build_.push_back(std::move(t));
-        stats_->OnBuffer(1);
-      }
-    }
-    return PartitionBuildParallel();
-  }
-  // Serial build: digest batch-at-a-time as the drain goes.
-  while (true) {
-    HRDM_ASSIGN_OR_RETURN(TupleBatch* batch, build_child->NextBatch());
-    if (!batch) break;
-    for (TuplePtr& t : *batch) {
-      const size_t idx = build_.size();
-      if (auto digest = JoinKeysDigest(*t, key_attrs_, build_left_)) {
-        buckets_[*digest].push_back(idx);
-      } else {
-        varying_.push_back(idx);
-      }
-      build_.push_back(std::move(t));
-      stats_->OnBuffer(1);
+  // The drain stays on the coordinator (cursor pulls are serial by design);
+  // with parallelism the digesting goes to the pool.
+  HRDM_RETURN_IF_ERROR(DrainHandles(build_left_ ? left_.get() : right_.get(),
+                                    build_, stats_));
+  if (parallelism_ > 1) return PartitionBuildParallel();
+  for (size_t idx = 0; idx < build_.size(); ++idx) {
+    if (auto digest = JoinKeysDigest(*build_[idx], key_attrs_, build_left_)) {
+      buckets_[*digest].push_back(idx);
+    } else {
+      varying_.push_back(idx);
     }
   }
   return Status::OK();
@@ -761,15 +683,10 @@ Status HashEquiJoinCursor::RunProbeParallel() {
   // Drain the probe side on the coordinator (also the error-parity
   // evaluation when the build side is empty), then probe morsel-parallel.
   std::vector<TuplePtr> probes;
-  while (true) {
-    HRDM_ASSIGN_OR_RETURN(TupleBatch* batch, probe_child->NextBatch());
-    if (!batch) break;
-    for (TuplePtr& t : *batch) probes.push_back(std::move(t));
-  }
-  stats_->OnBuffer(probes.size());
-  if (build_.empty() || probes.empty()) {
+  const Status drained = DrainHandles(probe_child, probes, stats_);
+  if (!drained.ok() || build_.empty() || probes.empty()) {
     stats_->OnRelease(probes.size());
-    return Status::OK();
+    return drained;
   }
   struct MorselOut {
     std::vector<TuplePtr> out;
@@ -831,22 +748,20 @@ Result<TupleBatch*> HashEquiJoinCursor::NextBatch() {
     return EmitOrEnd(out_);
   }
   Cursor* probe_child = build_left_ ? right_.get() : left_.get();
-  if (build_.empty()) {
-    // Evaluate the probe side anyway for error parity with the
-    // materializing path.
-    while (true) {
-      HRDM_ASSIGN_OR_RETURN(TupleBatch* batch, probe_child->NextBatch());
-      if (!batch) return nullptr;
-    }
-  }
   // Fill the output batch, suspending the candidate walk wherever it fills;
   // probe_ and the bucket/varying positions persist across calls, so the
-  // next pull resumes exactly where this one stopped.
+  // next pull resumes exactly where this one stopped. An empty build side
+  // finds no candidates, so the probe side is still pulled to its end (the
+  // error parity with the materializing path).
   out_.clear();
   while (out_.size() < ctx_->batch_size) {
     if (!probe_) {
-      HRDM_ASSIGN_OR_RETURN(probe_, probe_child->Next());
-      if (!probe_) break;  // probe side exhausted: flush what we have
+      if (probe_batch_ == nullptr || probe_pos_ >= probe_batch_->size()) {
+        HRDM_ASSIGN_OR_RETURN(probe_batch_, probe_child->NextBatch());
+        probe_pos_ = 0;
+        if (probe_batch_ == nullptr) break;  // probe side exhausted
+      }
+      probe_ = (*probe_batch_)[probe_pos_++].get();
       bucket_ = nullptr;
       bucket_pos_ = 0;
       in_varying_ = false;
@@ -865,7 +780,7 @@ Result<TupleBatch*> HashEquiJoinCursor::NextBatch() {
       while (scan_pos_ < build_.size() && out_.size() < ctx_->batch_size) {
         HRDM_RETURN_IF_ERROR(TryPairInto(scan_pos_++, out_));
       }
-      if (scan_pos_ >= build_.size()) probe_.reset();
+      if (scan_pos_ >= build_.size()) probe_ = nullptr;
       continue;
     }
     // Digest-matching partition first, then the varying build tuples
@@ -882,7 +797,7 @@ Result<TupleBatch*> HashEquiJoinCursor::NextBatch() {
     while (scan_pos_ < varying_.size() && out_.size() < ctx_->batch_size) {
       HRDM_RETURN_IF_ERROR(TryPairInto(varying_[scan_pos_++], out_));
     }
-    if (scan_pos_ >= varying_.size()) probe_.reset();
+    if (scan_pos_ >= varying_.size()) probe_ = nullptr;
   }
   return EmitOrEnd(out_);
 }
@@ -892,7 +807,7 @@ Result<TupleBatch*> HashEquiJoinCursor::NextBatch() {
 MergeTimeJoinCursor::MergeTimeJoinCursor(CursorPtr left, CursorPtr right,
                                          size_t attr_a, JoinAssembly assembly,
                                          PlanContext* ctx)
-    : ScalarCursor(assembly.scheme(), ctx),
+    : Cursor(assembly.scheme(), ctx),
       left_(std::move(left)),
       right_(std::move(right)),
       attr_a_(attr_a),
@@ -901,36 +816,34 @@ MergeTimeJoinCursor::MergeTimeJoinCursor(CursorPtr left, CursorPtr right,
 }
 
 MergeTimeJoinCursor::~MergeTimeJoinCursor() {
-  stats_->OnRelease(lefts_.size() + rights_.size());
+  stats_->OnRelease(left_tuples_.size() + right_tuples_.size());
 }
 
 Status MergeTimeJoinCursor::Prime() {
   primed_ = true;
-  while (true) {
-    HRDM_ASSIGN_OR_RETURN(TuplePtr t, left_->Next());
-    if (!t) break;
-    // The joined lifespan is confined to image(t(A)) ∩ t.l; tuples whose
-    // effective span is empty can never join and are dropped here.
+  // Spans that are empty can never join, so they get no entry.
+  auto add = [](std::vector<Entry>& side, const Tuple& t, Lifespan effective) {
+    if (effective.empty()) return false;
+    const TimePoint begin = effective.Min();
+    const TimePoint end = effective.Max();
+    side.push_back(Entry{&t, std::move(effective), begin, end});
+    return true;
+  };
+  HRDM_RETURN_IF_ERROR(DrainHandles(left_.get(), left_tuples_, stats_));
+  // The joined lifespan is confined to image(t(A)) ∩ t.l. Left tuples with
+  // no entry are released at once: left_tuples_ is compacted to the kept
+  // handles (the Tuples the entries point to do not move).
+  size_t kept = 0;
+  for (TuplePtr& t : left_tuples_) {
     HRDM_ASSIGN_OR_RETURN(Lifespan image, t->value(attr_a_).TimeImage());
-    Lifespan effective = image.Intersect(t->lifespan());
-    if (effective.empty()) continue;
-    Entry e{std::move(t), std::move(effective), 0, 0};
-    e.begin = e.effective.Min();
-    e.end = e.effective.Max();
-    lefts_.push_back(std::move(e));
-    stats_->OnBuffer(1);
+    if (add(lefts_, *t, image.Intersect(t->lifespan()))) {
+      left_tuples_[kept++] = std::move(t);
+    }
   }
-  while (true) {
-    HRDM_ASSIGN_OR_RETURN(TuplePtr t, right_->Next());
-    if (!t) break;
-    Entry e{std::move(t), Lifespan(), 0, 0};
-    e.effective = e.tuple->lifespan();
-    if (e.effective.empty()) continue;
-    e.begin = e.effective.Min();
-    e.end = e.effective.Max();
-    rights_.push_back(std::move(e));
-    stats_->OnBuffer(1);
-  }
+  stats_->OnRelease(left_tuples_.size() - kept);
+  left_tuples_.resize(kept);
+  HRDM_RETURN_IF_ERROR(DrainHandles(right_.get(), right_tuples_, stats_));
+  for (const TuplePtr& t : right_tuples_) add(rights_, *t, t->lifespan());
   auto by_begin = [](const Entry& a, const Entry& b) {
     return a.begin < b.begin;
   };
@@ -939,11 +852,14 @@ Status MergeTimeJoinCursor::Prime() {
   return Status::OK();
 }
 
-Result<TuplePtr> MergeTimeJoinCursor::NextTuple() {
+Result<TupleBatch*> MergeTimeJoinCursor::NextBatch() {
   if (!primed_) {
     HRDM_RETURN_IF_ERROR(Prime());
   }
-  while (li_ < lefts_.size()) {
+  // The sweep state (li_, the frontier, ai_) persists across pulls, so a
+  // full output batch suspends the sweep and the next pull resumes it.
+  out_.clear();
+  while (li_ < lefts_.size() && out_.size() < ctx_->batch_size) {
     Entry& L = lefts_[li_];
     if (!left_open_) {
       left_open_ = true;
@@ -958,7 +874,7 @@ Result<TuplePtr> MergeTimeJoinCursor::NextTuple() {
                     [&](size_t r) { return rights_[r].end < L.begin; });
       ai_ = 0;
     }
-    while (ai_ < active_.size()) {
+    while (ai_ < active_.size() && out_.size() < ctx_->batch_size) {
       const Entry& R = rights_[active_[ai_++]];
       // Extent check: actives were admitted against *some* left's end, not
       // necessarily this one's.
@@ -966,12 +882,14 @@ Result<TuplePtr> MergeTimeJoinCursor::NextTuple() {
       ++stats_->join_pairs_tested;
       Lifespan l = L.effective.Intersect(R.effective);
       if (l.empty()) continue;
-      return ctx_->AdoptTuple(assembly_.Assemble(*L.tuple, *R.tuple, l));
+      out_.push_back(
+          ctx_->AdoptTuple(assembly_.Assemble(*L.tuple, *R.tuple, l)));
     }
+    if (ai_ < active_.size()) break;  // batch full mid-frontier
     ++li_;
     left_open_ = false;
   }
-  return TuplePtr();
+  return EmitOrEnd(out_);
 }
 
 // --- BufferedResultCursor ----------------------------------------------------
@@ -1268,6 +1186,71 @@ Result<CursorPtr> LowerRestrictionChain(
                                       ctx);
 }
 
+/// What every physical strategy shares for one product or JOIN node over
+/// operand schemes `ls`/`rs`: the result assembly, the exact per-pair
+/// lifespan kernel, the equality columns a hash join keys on, and the
+/// TIME-JOIN attribute the merge sweeps on.
+struct JoinOperands {
+  JoinAssembly assembly;
+  JoinPairFn pair;
+  std::vector<std::pair<size_t, size_t>> key_attrs;  // (left, right) index
+  size_t attr_a = 0;  // TIME-JOIN: the time-valued left attribute
+};
+
+/// Builds the JoinOperands of `e` (kProduct, kThetaJoin, kNaturalJoin or
+/// kTimeJoin). The result scheme is checked first, so its errors (clashing
+/// attributes, an unknown or non-time-valued join attribute) are the ones
+/// the whole-relation operators raise.
+Result<JoinOperands> MakeJoinOperands(const Expr& e, const SchemePtr& ls,
+                                      const SchemePtr& rs) {
+  SchemePtr scheme;
+  JoinPairFn pair;
+  std::vector<std::pair<size_t, size_t>> key_attrs;
+  size_t attr_a = 0;
+  if (e.kind == ExprKind::kProduct) {
+    HRDM_ASSIGN_OR_RETURN(scheme, ProductScheme(ls, rs));
+    // The product tuple lives on t1.l ∪ t2.l (Section 5); every value's
+    // domain lies inside its own tuple's lifespan, so the assembly's
+    // restriction to it keeps each value whole.
+    pair = [](const Tuple& t1, const Tuple& t2) -> Result<Lifespan> {
+      return t1.lifespan().Union(t2.lifespan());
+    };
+  } else if (e.kind == ExprKind::kThetaJoin) {
+    HRDM_ASSIGN_OR_RETURN(scheme,
+                          ThetaJoinScheme(ls, e.attr_a, rs, e.attr_b));
+    HRDM_ASSIGN_OR_RETURN(size_t ia, ls->RequireIndex(e.attr_a));
+    HRDM_ASSIGN_OR_RETURN(size_t ib, rs->RequireIndex(e.attr_b));
+    key_attrs = {{ia, ib}};
+    pair = [ia, op = e.op, ib](const Tuple& t1, const Tuple& t2) {
+      return ThetaJoinPairLifespan(t1, ia, op, t2, ib);
+    };
+  } else if (e.kind == ExprKind::kNaturalJoin) {
+    HRDM_ASSIGN_OR_RETURN(scheme, NaturalJoinScheme(ls, rs));
+    key_attrs = SharedAttributes(*ls, *rs);
+    pair = [key_attrs](const Tuple& t1, const Tuple& t2) -> Result<Lifespan> {
+      return NaturalJoinPairLifespan(t1, t2, key_attrs);
+    };
+  } else if (e.kind == ExprKind::kTimeJoin) {
+    HRDM_ASSIGN_OR_RETURN(scheme, TimeJoinScheme(ls, e.attr_a, rs));
+    HRDM_ASSIGN_OR_RETURN(attr_a, ls->RequireIndex(e.attr_a));
+    pair = [ia = attr_a](const Tuple& t1, const Tuple& t2) {
+      return TimeJoinPairLifespan(t1, ia, t2);
+    };
+  } else {
+    return Status::Internal("not a join expression");
+  }
+  return JoinOperands{JoinAssembly(std::move(scheme), *ls, *rs),
+                      std::move(pair), std::move(key_attrs), attr_a};
+}
+
+/// The parallelism granted to a hash join over `choice`'s estimates.
+size_t HashJoinParallelism(const JoinChoice& choice,
+                           const PlanOptions& options) {
+  return ChooseParallelism(RequestedParallelism(options),
+                           choice.est_left + choice.est_right,
+                           options.force_parallel);
+}
+
 /// Attempts an index-fed hash equi-join lowering: when both operands are
 /// bare base relations, the chooser picks kHash, and the build side carries
 /// a value index on its (single) join attribute, the build cursor is
@@ -1292,37 +1275,14 @@ Result<CursorPtr> TryIndexFedEquiJoin(const ExprPtr& expr,
   const JoinChoice choice =
       ResolveJoinChoice(*expr, *ls, *rs, resolver, options);
   if (choice.strategy != JoinStrategy::kHash) return CursorPtr();
-
-  std::vector<std::pair<size_t, size_t>> key_attrs;
-  std::string build_attr;
-  SchemePtr out_scheme;
-  JoinPairFn pair;
-  if (expr->kind == ExprKind::kThetaJoin) {
-    HRDM_ASSIGN_OR_RETURN(size_t ia, ls->RequireIndex(expr->attr_a));
-    HRDM_ASSIGN_OR_RETURN(size_t ib, rs->RequireIndex(expr->attr_b));
-    key_attrs = {{ia, ib}};
-    build_attr = choice.build_left ? expr->attr_a : expr->attr_b;
-    HRDM_ASSIGN_OR_RETURN(out_scheme,
-                          ThetaJoinScheme(ls, expr->attr_a, rs, expr->attr_b));
-    pair = [ia, op = expr->op, ib](const Tuple& t1, const Tuple& t2) {
-      return ThetaJoinPairLifespan(t1, ia, op, t2, ib);
-    };
-  } else if (expr->kind == ExprKind::kNaturalJoin) {
-    std::vector<std::pair<size_t, size_t>> shared = SharedAttributes(*ls, *rs);
-    // A multi-column natural join would need a composite-key index; single
-    // per-attribute indexes only serve the one-shared-attribute shape.
-    if (shared.size() != 1) return CursorPtr();
-    build_attr = ls->attribute(shared[0].first).name;
-    key_attrs = std::move(shared);
-    HRDM_ASSIGN_OR_RETURN(out_scheme, NaturalJoinScheme(ls, rs));
-    pair = [key_attrs](const Tuple& t1, const Tuple& t2) -> Result<Lifespan> {
-      return NaturalJoinPairLifespan(t1, t2, key_attrs);
-    };
-  } else {
-    return CursorPtr();
-  }
-
+  HRDM_ASSIGN_OR_RETURN(JoinOperands ops, MakeJoinOperands(*expr, ls, rs));
+  // A multi-column natural join would need a composite-key index; single
+  // per-attribute indexes only serve the one-equality-column shape.
+  if (ops.key_attrs.size() != 1) return CursorPtr();
+  const auto [li, ri] = ops.key_attrs[0];
   const ExprPtr& build_expr = choice.build_left ? expr->left : expr->right;
+  const std::string& build_attr = choice.build_left ? ls->attribute(li).name
+                                                    : rs->attribute(ri).name;
   std::optional<IndexedBuildSide> build =
       options.indexed_build(build_expr->relation, build_attr);
   if (!build) return CursorPtr();
@@ -1331,15 +1291,48 @@ Result<CursorPtr> TryIndexFedEquiJoin(const ExprPtr& expr,
       CursorPtr probe,
       LowerExpr(choice.build_left ? expr->right : expr->left, resolver, ctx,
                 options));
-  JoinAssembly assembly(std::move(out_scheme), *ls, *rs);
-  const size_t parallelism =
-      ChooseParallelism(RequestedParallelism(options),
-                        choice.est_left + choice.est_right,
-                        options.force_parallel);
   return MakeCursor<HashEquiJoinCursor>(
       std::move(probe), std::move(*build), choice.build_left,
-      std::move(key_attrs), std::move(assembly), std::move(pair), parallelism,
-      ctx);
+      std::move(ops.key_attrs), std::move(ops.assembly), std::move(ops.pair),
+      HashJoinParallelism(choice, options), ctx);
+}
+
+/// Lowers a product or JOIN node: an index-fed hash join when one applies,
+/// else both children (left first), then the operands, then the strategy
+/// the chooser picks — the product always takes the nested loop.
+Result<CursorPtr> LowerJoin(const ExprPtr& expr, const PlanResolver& resolver,
+                            PlanContext* ctx, const PlanOptions& options) {
+  if (expr->kind == ExprKind::kThetaJoin ||
+      expr->kind == ExprKind::kNaturalJoin) {
+    HRDM_ASSIGN_OR_RETURN(CursorPtr fed,
+                          TryIndexFedEquiJoin(expr, resolver, ctx, options));
+    if (fed) return fed;
+  }
+  HRDM_ASSIGN_OR_RETURN(CursorPtr left,
+                        LowerExpr(expr->left, resolver, ctx, options));
+  HRDM_ASSIGN_OR_RETURN(CursorPtr right,
+                        LowerExpr(expr->right, resolver, ctx, options));
+  HRDM_ASSIGN_OR_RETURN(
+      JoinOperands ops,
+      MakeJoinOperands(*expr, left->scheme(), right->scheme()));
+  const JoinChoice choice = ResolveJoinChoice(
+      *expr, *left->scheme(), *right->scheme(), resolver, options);
+  switch (choice.strategy) {
+    case JoinStrategy::kHash:
+      return MakeCursor<HashEquiJoinCursor>(
+          std::move(left), std::move(right), choice.build_left,
+          std::move(ops.key_attrs), std::move(ops.assembly),
+          std::move(ops.pair), HashJoinParallelism(choice, options), ctx);
+    case JoinStrategy::kMerge:
+      return MakeCursor<MergeTimeJoinCursor>(std::move(left), std::move(right),
+                                             ops.attr_a,
+                                             std::move(ops.assembly), ctx);
+    case JoinStrategy::kNestedLoop:
+      break;
+  }
+  return MakeCursor<NestedLoopJoinCursor>(std::move(left), std::move(right),
+                                          std::move(ops.assembly),
+                                          std::move(ops.pair), ctx);
 }
 
 }  // namespace
@@ -1404,16 +1397,11 @@ Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
                             DynSliceAttrIndex(*child->scheme(), expr->attr_a));
       return MakeCursor<TimeSliceCursor>(std::move(child), idx, ctx);
     }
-    case ExprKind::kProduct: {
-      HRDM_ASSIGN_OR_RETURN(CursorPtr left,
-                            LowerExpr(expr->left, resolver, ctx, options));
-      HRDM_ASSIGN_OR_RETURN(CursorPtr right,
-                            LowerExpr(expr->right, resolver, ctx, options));
-      HRDM_ASSIGN_OR_RETURN(SchemePtr scheme,
-                            ProductScheme(left->scheme(), right->scheme()));
-      return MakeCursor<ProductJoinCursor>(
-          std::move(left), std::move(right), std::move(scheme), ctx);
-    }
+    case ExprKind::kProduct:
+    case ExprKind::kThetaJoin:
+    case ExprKind::kNaturalJoin:
+    case ExprKind::kTimeJoin:
+      return LowerJoin(expr, resolver, ctx, options);
     case ExprKind::kUnion:
     case ExprKind::kIntersect:
     case ExprKind::kDifference:
@@ -1456,78 +1444,6 @@ Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
           },
           ctx);
     }
-    case ExprKind::kThetaJoin: {
-      HRDM_ASSIGN_OR_RETURN(
-          CursorPtr fed, TryIndexFedEquiJoin(expr, resolver, ctx, options));
-      if (fed) return fed;
-      HRDM_ASSIGN_OR_RETURN(CursorPtr left,
-                            LowerExpr(expr->left, resolver, ctx, options));
-      HRDM_ASSIGN_OR_RETURN(CursorPtr right,
-                            LowerExpr(expr->right, resolver, ctx, options));
-      HRDM_ASSIGN_OR_RETURN(SchemePtr scheme,
-                            ThetaJoinScheme(left->scheme(), expr->attr_a,
-                                            right->scheme(), expr->attr_b));
-      HRDM_ASSIGN_OR_RETURN(size_t ia,
-                            left->scheme()->RequireIndex(expr->attr_a));
-      HRDM_ASSIGN_OR_RETURN(size_t ib,
-                            right->scheme()->RequireIndex(expr->attr_b));
-      JoinAssembly assembly(std::move(scheme), *left->scheme(),
-                            *right->scheme());
-      JoinPairFn pair = [ia, op = expr->op, ib](const Tuple& t1,
-                                                const Tuple& t2) {
-        return ThetaJoinPairLifespan(t1, ia, op, t2, ib);
-      };
-      const JoinChoice choice = ResolveJoinChoice(
-          *expr, *left->scheme(), *right->scheme(), resolver, options);
-      if (choice.strategy == JoinStrategy::kHash) {
-        const size_t parallelism =
-            ChooseParallelism(RequestedParallelism(options),
-                              choice.est_left + choice.est_right,
-                              options.force_parallel);
-        return MakeCursor<HashEquiJoinCursor>(
-            std::move(left), std::move(right), choice.build_left,
-            std::vector<std::pair<size_t, size_t>>{{ia, ib}},
-            std::move(assembly), std::move(pair), parallelism, ctx);
-      }
-      return MakeCursor<NestedLoopJoinCursor>(
-          std::move(left), std::move(right), std::move(assembly),
-          std::move(pair), ctx);
-    }
-    case ExprKind::kNaturalJoin: {
-      HRDM_ASSIGN_OR_RETURN(
-          CursorPtr fed, TryIndexFedEquiJoin(expr, resolver, ctx, options));
-      if (fed) return fed;
-      HRDM_ASSIGN_OR_RETURN(CursorPtr left,
-                            LowerExpr(expr->left, resolver, ctx, options));
-      HRDM_ASSIGN_OR_RETURN(CursorPtr right,
-                            LowerExpr(expr->right, resolver, ctx, options));
-      HRDM_ASSIGN_OR_RETURN(
-          SchemePtr scheme,
-          NaturalJoinScheme(left->scheme(), right->scheme()));
-      std::vector<std::pair<size_t, size_t>> shared =
-          SharedAttributes(*left->scheme(), *right->scheme());
-      JoinAssembly assembly(std::move(scheme), *left->scheme(),
-                            *right->scheme());
-      JoinPairFn pair = [shared](const Tuple& t1,
-                                 const Tuple& t2) -> Result<Lifespan> {
-        return NaturalJoinPairLifespan(t1, t2, shared);
-      };
-      const JoinChoice choice = ResolveJoinChoice(
-          *expr, *left->scheme(), *right->scheme(), resolver, options);
-      if (choice.strategy == JoinStrategy::kHash) {
-        const size_t parallelism =
-            ChooseParallelism(RequestedParallelism(options),
-                              choice.est_left + choice.est_right,
-                              options.force_parallel);
-        return MakeCursor<HashEquiJoinCursor>(
-            std::move(left), std::move(right), choice.build_left,
-            std::move(shared), std::move(assembly), std::move(pair),
-            parallelism, ctx);
-      }
-      return MakeCursor<NestedLoopJoinCursor>(
-          std::move(left), std::move(right), std::move(assembly),
-          std::move(pair), ctx);
-    }
     case ExprKind::kAggregate: {
       HRDM_ASSIGN_OR_RETURN(CursorPtr child,
                             LowerExpr(expr->left, resolver, ctx, options));
@@ -1543,32 +1459,6 @@ Result<CursorPtr> LowerExpr(const ExprPtr& expr, const PlanResolver& resolver,
           RequestedParallelism(options), est_input, options.force_parallel);
       return MakeCursor<HashAggregateCursor>(
           std::move(child), std::move(aggregator), est, parallelism, ctx);
-    }
-    case ExprKind::kTimeJoin: {
-      HRDM_ASSIGN_OR_RETURN(CursorPtr left,
-                            LowerExpr(expr->left, resolver, ctx, options));
-      HRDM_ASSIGN_OR_RETURN(CursorPtr right,
-                            LowerExpr(expr->right, resolver, ctx, options));
-      HRDM_ASSIGN_OR_RETURN(SchemePtr scheme,
-                            TimeJoinScheme(left->scheme(), expr->attr_a,
-                                           right->scheme()));
-      HRDM_ASSIGN_OR_RETURN(size_t ia,
-                            left->scheme()->RequireIndex(expr->attr_a));
-      JoinAssembly assembly(std::move(scheme), *left->scheme(),
-                            *right->scheme());
-      const JoinChoice choice = ResolveJoinChoice(
-          *expr, *left->scheme(), *right->scheme(), resolver, options);
-      if (choice.strategy == JoinStrategy::kMerge) {
-        return MakeCursor<MergeTimeJoinCursor>(
-            std::move(left), std::move(right), ia, std::move(assembly),
-            ctx);
-      }
-      JoinPairFn pair = [ia](const Tuple& t1, const Tuple& t2) {
-        return TimeJoinPairLifespan(t1, ia, t2);
-      };
-      return MakeCursor<NestedLoopJoinCursor>(
-          std::move(left), std::move(right), std::move(assembly),
-          std::move(pair), ctx);
     }
   }
   return Status::Internal("unhandled expression kind");
@@ -1592,12 +1482,6 @@ Result<TupleBatch*> Plan::NextBatch() {
   HRDM_ASSIGN_OR_RETURN(TupleBatch* batch, root_->NextBatch());
   if (batch) ctx_->stats.tuples_returned += batch->size();
   return batch;
-}
-
-Result<TuplePtr> Plan::Next() {
-  HRDM_ASSIGN_OR_RETURN(TuplePtr t, root_->Next());
-  if (t) ++ctx_->stats.tuples_returned;
-  return t;
 }
 
 Result<Relation> Plan::Drain() {

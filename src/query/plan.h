@@ -21,9 +21,9 @@
 /// never empty, and the pointed-to batch is valid only until the next
 /// `NextBatch()` call on the same cursor. The consumer MAY move handles
 /// out of the batch (every cursor refills or clears its batch before
-/// reuse). A non-virtual `Next()` compatibility shim drives unported
-/// consumers one tuple at a time over the same batches, so porting an
-/// operator is never blocked on porting its neighbours.
+/// reuse), and once a cursor returns null it keeps returning null. This is
+/// the only pull protocol: consumers that walk tuples one by one (the join
+/// cursors' streamed sides) keep a (batch, position) pair of their own.
 ///
 /// **Arena memory.** Per-query tuple temporaries (restricted, projected
 /// and joined tuples created by the serial operator kernels) are
@@ -37,7 +37,7 @@
 /// `batches_emitted`/`batch_tuples` the batch traffic.
 ///
 /// Cursors reuse the algebra's kernels (SelectIfBatch, SelectWhenHolds,
-/// TimeSliceTupleRaw, ProjectTupleRaw, ProductTuple, JoinKeysDigest, ...),
+/// TimeSliceTupleRaw, ProjectTupleRaw, JoinAssembly, JoinKeysDigest, ...),
 /// so the streaming and whole-relation paths share one implementation of
 /// the paper's semantics. Interpolation (representation → model mapping,
 /// Figure 9) happens once, per tuple, at the scan leaf. Restriction
@@ -51,18 +51,19 @@
 ///    whole inputs (structural/mergeable lookups), so it drains both
 ///    children, applies the whole-relation operator, and streams (or
 ///    surrenders) the result;
-///  * `ProductJoinCursor` — buffers only its *right* input and streams the
-///    left, so `r × s` holds |s| tuples, not |r × s|;
 ///  * `HashAggregateCursor` — AGGREGATE: folds the input batches into
 ///    per-group aggregation state (key vector + contribution segments, via
 ///    the shared kernel of algebra/aggregate.h), holding input handles only
 ///    for the duplicate elimination a set-semantics aggregate requires.
 ///
-/// The JOIN family lowers to dedicated join cursors, all built on the
-/// shared assembly kernel of algebra/join.h and selected by the optimizer's
-/// `ChooseJoinStrategy` (equi-pattern detection + catalog cardinality):
+/// The JOIN family and the Cartesian product lower to dedicated join
+/// cursors, all built on the shared assembly kernel of algebra/join.h and
+/// selected by the optimizer's `ChooseJoinStrategy` (equi-pattern detection
+/// + catalog cardinality):
 ///  * `NestedLoopJoinCursor` — pairwise θ evaluation; buffers only the
-///    right input, streams the left (the fallback "product" strategy);
+///    right input, streams the left (the fallback "product" strategy). The
+///    product itself is this cursor with the pair lifespan `t1.l ∪ t2.l`
+///    (Section 5), so `r × s` holds |s| tuples, not |r × s|;
 ///  * `HashEquiJoinCursor` — EQUIJOIN/NATURAL-JOIN: buffers only its
 ///    *build* side, partitioned by a time-invariant digest of the join
 ///    attribute values; build tuples whose join attribute varies over
@@ -310,14 +311,9 @@ class Cursor {
   Cursor(const Cursor&) = delete;
   Cursor& operator=(const Cursor&) = delete;
 
-  /// \brief Pulls the next output batch; null at end of stream.
+  /// \brief Pulls the next output batch; null at end of stream (and on
+  /// every later call).
   virtual Result<TupleBatch*> NextBatch() = 0;
-
-  /// \brief Tuple-at-a-time compatibility shim over `NextBatch`: yields
-  /// the batches' handles one by one, null at end of stream. For consumers
-  /// that need per-tuple control flow; do not interleave with direct
-  /// `NextBatch` calls on the same cursor.
-  Result<TuplePtr> Next();
 
   /// \brief Blocking cursors that already hold their entire output as a
   /// set-semantics Relation may surrender it wholesale, so a draining
@@ -345,33 +341,9 @@ class Cursor {
   SchemePtr scheme_;
   PlanContext* ctx_;  // owned by the enclosing Plan; never null
   PlanStats* stats_;  // == &ctx_->stats (kept for kernel-loop brevity)
-
- private:
-  // Next() shim state: the batch currently being handed out one-by-one.
-  TupleBatch* read_ = nullptr;
-  size_t read_pos_ = 0;
-  bool read_done_ = false;
 };
 
 using CursorPtr = std::unique_ptr<Cursor>;
-
-/// \brief Adapter base for cursors still implemented tuple-at-a-time
-/// (`NextTuple`): packs their output into batches so batch-native
-/// consumers see the uniform protocol. Porting an operator to native
-/// batches means moving it off this base.
-class ScalarCursor : public Cursor {
- public:
-  using Cursor::Cursor;
-  Result<TupleBatch*> NextBatch() final;
-
- protected:
-  /// \brief Produces the next output tuple; null at end of stream.
-  virtual Result<TuplePtr> NextTuple() = 0;
-
- private:
-  TupleBatch batch_;
-  bool done_ = false;
-};
 
 // --- cursors -----------------------------------------------------------------
 
@@ -518,26 +490,6 @@ class TimeSliceCursor : public Cursor {
   TupleBatch out_;
 };
 
-/// \brief Cartesian product: streams the left input against a buffered
-/// right input (|right| buffered tuples, counted in PlanStats).
-class ProductJoinCursor : public ScalarCursor {
- public:
-  ProductJoinCursor(CursorPtr left, CursorPtr right, SchemePtr out_scheme,
-                    PlanContext* ctx);
-  ~ProductJoinCursor() override;
-
- protected:
-  Result<TuplePtr> NextTuple() override;
-
- private:
-  CursorPtr left_;
-  CursorPtr right_;
-  bool primed_ = false;
-  std::vector<TuplePtr> right_buffer_;
-  TuplePtr current_left_;
-  size_t right_pos_ = 0;
-};
-
 // --- join cursors ------------------------------------------------------------
 
 /// \brief The joined lifespan of one (left, right) tuple pair — empty means
@@ -546,19 +498,23 @@ class ProductJoinCursor : public ScalarCursor {
 using JoinPairFn =
     std::function<Result<Lifespan>(const Tuple& left, const Tuple& right)>;
 
-/// \brief Fallback join strategy: streams the left input against a buffered
-/// right input, evaluating the pair kernel for every pair (the JOIN ≡
-/// SELECT-WHEN ∘ × reading, with the filter fused so no wide product tuple
-/// is ever assembled for non-matching pairs). Buffers |right| tuples.
-class NestedLoopJoinCursor : public ScalarCursor {
+/// \brief Fallback join strategy, and the Cartesian product: streams the
+/// left input against a buffered right input, evaluating the pair kernel
+/// for every pair (the JOIN ≡ SELECT-WHEN ∘ × reading, with the filter
+/// fused so no wide product tuple is ever assembled for non-matching
+/// pairs; the product's pair kernel is `t1.l ∪ t2.l`, which never empties).
+/// Fills the output batch pair by pair and suspends wherever it fills: the
+/// left batch, the left position in it and the right position persist
+/// across pulls. Buffers |right| tuples. An empty right input still drains
+/// the left one, so its runtime errors surface as in the materializing
+/// path.
+class NestedLoopJoinCursor : public Cursor {
  public:
   NestedLoopJoinCursor(CursorPtr left, CursorPtr right,
                        JoinAssembly assembly, JoinPairFn pair,
                        PlanContext* ctx);
   ~NestedLoopJoinCursor() override;
-
- protected:
-  Result<TuplePtr> NextTuple() override;
+  Result<TupleBatch*> NextBatch() override;
 
  private:
   CursorPtr left_;
@@ -567,8 +523,10 @@ class NestedLoopJoinCursor : public ScalarCursor {
   JoinPairFn pair_;
   bool primed_ = false;
   std::vector<TuplePtr> right_buffer_;
-  TuplePtr current_left_;
+  TupleBatch* left_batch_ = nullptr;  // owned by left_; null = pull next
+  size_t left_pos_ = 0;
   size_t right_pos_ = 0;
+  TupleBatch out_;
 };
 
 /// \brief Hash equi-join (EQUIJOIN / NATURAL-JOIN with shared attributes):
@@ -642,8 +600,11 @@ class HashEquiJoinCursor : public Cursor {
   std::vector<size_t> varying_;  // build tuples without a constant digest
 
   // Probe iteration state (serial mode). The candidate walk for probe_
-  // suspends wherever the output batch fills and resumes on the next pull.
-  TuplePtr probe_;
+  // suspends wherever the output batch fills and resumes on the next pull;
+  // probe_ points into probe_batch_, the probe child's current batch.
+  TupleBatch* probe_batch_ = nullptr;
+  size_t probe_pos_ = 0;  // next probe tuple in probe_batch_
+  const Tuple* probe_ = nullptr;
   const std::vector<size_t>* bucket_ = nullptr;  // candidates for probe_
   size_t bucket_pos_ = 0;
   bool in_varying_ = false;   // finished bucket_, now scanning varying_
@@ -660,20 +621,19 @@ class HashEquiJoinCursor : public Cursor {
 /// \brief TIME-JOIN via a lifespan merge: both sides are drained and sorted
 /// by the start of their effective chronon span (left: image(t(A)) ∩ t.l,
 /// right: t.l); a sweep keeps a frontier of right tuples whose spans can
-/// still overlap, so far fewer than |l|·|r| pairs are tested. Buffers both
-/// sides.
-class MergeTimeJoinCursor : public ScalarCursor {
+/// still overlap, so far fewer than |l|·|r| pairs are tested. The sweep
+/// suspends wherever the output batch fills and resumes there on the next
+/// pull. Buffers both sides.
+class MergeTimeJoinCursor : public Cursor {
  public:
   MergeTimeJoinCursor(CursorPtr left, CursorPtr right, size_t attr_a,
                       JoinAssembly assembly, PlanContext* ctx);
   ~MergeTimeJoinCursor() override;
-
- protected:
-  Result<TuplePtr> NextTuple() override;
+  Result<TupleBatch*> NextBatch() override;
 
  private:
   struct Entry {
-    TuplePtr tuple;
+    const Tuple* tuple;  // owned by left_tuples_ / right_tuples_
     Lifespan effective;  // the span the joined lifespan is confined to
     TimePoint begin = 0;
     TimePoint end = 0;
@@ -687,6 +647,8 @@ class MergeTimeJoinCursor : public ScalarCursor {
   JoinAssembly assembly_;
 
   bool primed_ = false;
+  std::vector<TuplePtr> left_tuples_;   // the drained inputs (left: only
+  std::vector<TuplePtr> right_tuples_;  // tuples with an entry), buffered
   std::vector<Entry> lefts_;   // sorted by begin
   std::vector<Entry> rights_;  // sorted by begin
   size_t li_ = 0;              // current left entry
@@ -694,6 +656,7 @@ class MergeTimeJoinCursor : public ScalarCursor {
   std::vector<size_t> active_; // rights whose span may still overlap
   size_t ai_ = 0;              // next active candidate for lefts_[li_]
   bool left_open_ = false;     // activation done for lefts_[li_]
+  TupleBatch out_;
 };
 
 /// \brief Base for blocking cursors that compute their entire output
@@ -843,7 +806,7 @@ class Plan {
   /// Scheme computation and compatibility checks happen here, eagerly;
   /// lifespan-sorted windows are evaluated eagerly too (they are
   /// parameters, not streams). Per-tuple errors (e.g. a predicate naming an
-  /// unknown attribute) surface on `Next`/`NextBatch`.
+  /// unknown attribute) surface on `NextBatch`/`Drain`.
   static Result<Plan> Lower(const ExprPtr& expr, const PlanResolver& resolver);
   static Result<Plan> Lower(const ExprPtr& expr, const PlanResolver& resolver,
                             const PlanOptions& options);
@@ -851,10 +814,6 @@ class Plan {
   /// \brief Pulls the next root batch; null at end of stream. Owned by the
   /// root cursor, valid until the next call.
   Result<TupleBatch*> NextBatch();
-
-  /// \brief Pulls the next root tuple; null at end of stream (the
-  /// tuple-at-a-time shim over `NextBatch`).
-  Result<TuplePtr> Next();
 
   /// \brief Runs the plan to completion into a set-semantics `Relation`
   /// (structural duplicates collapsed, empty-lifespan tuples dropped),

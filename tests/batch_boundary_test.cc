@@ -5,8 +5,8 @@
 // never empty, never exceed B, EOS is stable) and that the collected
 // output is set-equal to the materializing oracle at every size. Plus a
 // selective filter that empties whole input batches mid-stream (the
-// "skip, don't emit []" clause) and a probe-resumption case where one
-// probe tuple's matches straddle several output batches.
+// "skip, don't emit []" clause) and resumption cases where one probe or
+// left tuple's matches straddle several output batches.
 
 #include <gtest/gtest.h>
 
@@ -56,6 +56,23 @@ void AddJoinPartner(storage::Database& db, size_t n) {
     b.SetConstant("Id2", Value::String("q" + std::to_string(i)));
     b.SetConstant("W", Value::Int(static_cast<int64_t>(i)));
     ASSERT_TRUE(db.Insert("r2", *std::move(b).Build()).ok());
+  }
+}
+
+/// Adds t(Tid*, At: time) with `n` tuples, At = i % 10 — the TIME-JOIN
+/// left side: each tuple's image {i % 10} overlaps every [0,9] lifespan.
+void AddTimeRelation(storage::Database& db, size_t n) {
+  auto scheme = *RelationScheme::Make(
+      "t",
+      {{"Tid", DomainType::kString, kFull, InterpolationKind::kDiscrete},
+       {"At", DomainType::kTime, kFull, InterpolationKind::kStepwise}},
+      {"Tid"});
+  ASSERT_TRUE(db.CreateRelation(scheme).ok());
+  for (size_t i = 0; i < n; ++i) {
+    Tuple::Builder b(scheme, kFull);
+    b.SetConstant("Tid", Value::String("t" + std::to_string(i)));
+    b.SetConstant("At", Value::Time(static_cast<TimePoint>(i % 10)));
+    ASSERT_TRUE(db.Insert("t", *std::move(b).Build()).ok());
   }
 }
 
@@ -175,6 +192,40 @@ TEST(BatchBoundaryTest, HashEquiJoinCursor) {
   }
 }
 
+TEST(BatchBoundaryTest, NestedLoopJoinCursor) {
+  for (size_t n : kSizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    auto db = IntDb(n);
+    AddJoinPartner(db, n);
+    PlanOptions forced;
+    forced.force_join_strategy = JoinStrategy::kNestedLoop;
+    ExpectBoundaryClean(db, "join(r, r2, V <= W)", forced);  // n(n+1)/2
+    ExpectBoundaryClean(db, "join(r, r2, V = W)", forced);   // n
+  }
+}
+
+TEST(BatchBoundaryTest, ProductThroughNestedLoop) {
+  for (size_t n : kSizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    auto db = IntDb(n);
+    AddJoinPartner(db, n);
+    ExpectBoundaryClean(db, "product(r, r2)");  // n² pairs, all emitted
+    // The JOIN ≡ SELECT-WHEN ∘ × shape over the same product.
+    ExpectBoundaryClean(db, "select_when(product(r, r2), V = W)");
+  }
+}
+
+TEST(BatchBoundaryTest, MergeTimeJoinCursor) {
+  for (size_t n : kSizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    auto db = IntDb(n);
+    AddTimeRelation(db, n);
+    PlanOptions forced;
+    forced.force_join_strategy = JoinStrategy::kMerge;
+    ExpectBoundaryClean(db, "timejoin(t, r, At)", forced);  // n² pairs
+  }
+}
+
 TEST(BatchBoundaryTest, HashAggregateCursor) {
   for (size_t n : kSizes) {
     SCOPED_TRACE("n=" + std::to_string(n));
@@ -247,6 +298,25 @@ TEST(BatchBoundaryTest, ProbeMatchesStraddleOutputBatches) {
   auto db2 = IntDb(2 * kB + 1);
   AddJoinPartner(db2, 1);
   ExpectBoundaryClean(db2, "join(r2, r, W = V)", forced);
+}
+
+TEST(BatchBoundaryTest, LeftMatchesStraddleOutputBatches) {
+  // One left tuple against 2B+1 right tuples: the nested loop's and the
+  // merge sweep's walk over the right side must suspend when the output
+  // batch fills and resume mid-walk, for the same left tuple.
+  auto db = IntDb(2 * kB + 1);
+  AddJoinPartner(db, 1);
+  AddTimeRelation(db, 1);
+  PlanOptions nested;
+  nested.force_join_strategy = JoinStrategy::kNestedLoop;
+  ExpectBoundaryClean(db, "join(r2, r, W <= V)", nested);
+  ExpectBoundaryClean(db, "product(r2, r)");
+  PlanOptions merge;
+  merge.force_join_strategy = JoinStrategy::kMerge;
+  ExpectBoundaryClean(db, "timejoin(t, r, At)", merge);
+  // And the transposed shape: many left tuples, one right tuple.
+  ExpectBoundaryClean(db, "join(r, r2, V >= W)", nested);
+  ExpectBoundaryClean(db, "product(r, r2)");
 }
 
 TEST(BatchBoundaryTest, BatchSizeOneDegeneratesToTupleAtATime) {

@@ -2,9 +2,10 @@
 // strategy (nested loop, hash, merge) must produce results tuple-for-tuple,
 // chronon-for-chronon identical to
 //  * each other,
-//  * the SELECT-WHEN ∘ × plan executed through ProductJoinCursor (the
-//    paper's Section 5 equivalence: JOIN ≡ the appropriate SELECT-WHEN of
-//    the Cartesian product),
+//  * the SELECT-WHEN ∘ × plan, whose product runs through the nested-loop
+//    cursor with the pair lifespan t1.l ∪ t2.l (the paper's Section 5
+//    equivalence: JOIN ≡ the appropriate SELECT-WHEN of the Cartesian
+//    product),
 //  * the whole-relation ThetaJoin/EquiJoin/NaturalJoin/TimeJoin APIs,
 //  * the materializing interpreter,
 // with every plan execution swept over the batch-size axis (exact
@@ -81,7 +82,7 @@ TEST(JoinDifferentialTest, RandomDatabases) {
     auto equi = EquiJoin(ra, "A0", rb, "B0");
     ASSERT_TRUE(equi.ok());
     ExpectAllStrategiesAgree(db, "join(ra, rb, A0 = B0)", &*equi);
-    // ...and vs SELECT-WHEN ∘ × through ProductJoinCursor (Section 5).
+    // ...and vs SELECT-WHEN ∘ × (Section 5).
     auto via_product = query::Run(
         "select_when(product(ra, rb), A0 = B0)", db);
     ASSERT_TRUE(via_product.ok());

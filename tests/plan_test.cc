@@ -234,6 +234,12 @@ TEST(PlanStreamingTest, ProductBuffersOnlyRightInput) {
   ASSERT_TRUE(rel.ok());
   const size_t right_size = (*db.Get("rgt"))->size();
   EXPECT_EQ(plan->stats().peak_buffered, right_size);
+  // The product is the nested-loop join whose pair lifespan is t1.l ∪ t2.l:
+  // it counts as one, and tests (and emits) every pair.
+  const size_t left_size = (*db.Get("lft"))->size();
+  EXPECT_EQ(plan->stats().joins_nested_loop, 1u);
+  EXPECT_EQ(plan->stats().join_pairs_tested, left_size * right_size);
+  EXPECT_EQ(rel->size(), left_size * right_size);
 }
 
 TEST(PlanStreamingTest, HashJoinBuffersOnlyBuildSide) {
@@ -330,6 +336,58 @@ TEST(PlanStreamingTest, ErrorsPropagateFromCursors) {
   auto bad = ParseExpr("union(r0, project(r0, Id))");
   ASSERT_TRUE(bad.ok());
   EXPECT_FALSE(Plan::Lower(*bad, DatabaseResolver(db)).ok());
+}
+
+TEST(PlanStreamingTest, EmptyBufferedSideStillEvaluatesStreamedSide) {
+  // Every join strategy buffers one side and streams the other. When the
+  // buffered side is empty the join is trivially empty, but the streamed
+  // side must still be evaluated so its runtime error surfaces exactly as
+  // the materializing interpreter's does (it evaluates both operands
+  // before applying the operator).
+  auto db = JoinDb(11);
+  auto none = *RelationScheme::Make(
+      "none",
+      {{"NId", DomainType::kString, Span(0, 59), InterpolationKind::kDiscrete},
+       {"NV", DomainType::kInt, Span(0, 59), InterpolationKind::kStepwise}},
+      {"NId"});
+  ASSERT_TRUE(db.CreateRelation(none).ok());
+  const std::string bad = "select_when(lft, Nope = 1)";
+  struct Case {
+    std::string hrql;
+    JoinStrategy strategy;
+    bool parallel;
+  };
+  const Case cases[] = {
+      {"product(" + bad + ", none)", JoinStrategy::kNestedLoop, false},
+      {"join(" + bad + ", none, LV >= NV)", JoinStrategy::kNestedLoop, false},
+      {"join(" + bad + ", none, LV = NV)", JoinStrategy::kHash, false},
+      {"join(" + bad + ", none, LV = NV)", JoinStrategy::kHash, true},
+      {"timejoin(" + bad + ", none, Ref)", JoinStrategy::kMerge, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.hrql + (c.parallel ? " (parallel)" : ""));
+    auto expr = ParseExpr(c.hrql);
+    ASSERT_TRUE(expr.ok()) << expr.status().ToString();
+    auto oracle = EvalMaterializing(*expr, db);
+    ASSERT_FALSE(oracle.ok());
+    PlanOptions options;
+    options.force_join_strategy = c.strategy;
+    options.parallelism = c.parallel ? 2 : 1;
+    options.force_parallel = c.parallel;
+    auto plan = Plan::Lower(*expr, DatabaseResolver(db), options);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    // The forced strategy really is the one that runs, and the empty
+    // relation is its buffered side.
+    const PlanStats& stats = plan->stats();
+    EXPECT_EQ(stats.joins_nested_loop,
+              c.strategy == JoinStrategy::kNestedLoop ? 1u : 0u);
+    EXPECT_EQ(stats.joins_hash, c.strategy == JoinStrategy::kHash ? 1u : 0u);
+    EXPECT_EQ(stats.joins_merge, c.strategy == JoinStrategy::kMerge ? 1u : 0u);
+    EXPECT_EQ(stats.parallelism, c.parallel ? 2u : 1u);
+    auto drained = plan->Drain();
+    ASSERT_FALSE(drained.ok());
+    EXPECT_EQ(drained.status().ToString(), oracle.status().ToString());
+  }
 }
 
 // ---------------------------------------------------------------------------
