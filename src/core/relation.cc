@@ -5,14 +5,36 @@
 namespace hrdm {
 
 namespace {
+
+constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
+// The first stored value of `v`: `ConstantValue()` without the copy. Key
+// functions are constant, so this is the key value (absent when empty).
+const Value& FirstValue(const TemporalValue& v) {
+  static const Value kAbsent;
+  return v.segments().empty() ? kAbsent : v.segments().front().value;
+}
+
 }  // namespace
 
-void Relation::IndexTuple(const Tuple& t, size_t idx) {
-  if (!scheme_->key().empty()) {
-    key_index_[KeyHashOf(t.KeyValues())].push_back(idx);
+uint64_t Relation::IndexHash(const Tuple& t) const {
+  if (scheme_->key().empty()) return t.Hash();
+  // Tuple::KeyHash's fold, taken at this relation's key positions: a tuple
+  // of a union-compatible scheme (FindStructural's argument) may key other
+  // attributes, or none.
+  uint64_t h = kFnvOffset;
+  for (size_t i : scheme_->key_indices()) {
+    h = (h ^ FirstValue(t.value(i)).Hash()) * kFnvPrime;
   }
-  struct_index_[t.Hash()].push_back(idx);
+  return h;
+}
+
+bool Relation::SameKey(const Tuple& stored, const Tuple& t) const {
+  for (size_t i : scheme_->key_indices()) {
+    if (FirstValue(stored.value(i)) != FirstValue(t.value(i))) return false;
+  }
+  return true;
 }
 
 Status Relation::Insert(TuplePtr t) {
@@ -25,11 +47,13 @@ Status Relation::Insert(TuplePtr t) {
   if (t->lifespan().empty()) {
     return Status::InvalidArgument("cannot insert tuple with empty lifespan");
   }
-  if (!scheme_->key().empty()) {
-    const std::vector<Value> key = t->KeyValues();
-    if (FindByKey(key).has_value()) {
+  const bool keyed = !scheme_->key().empty();
+  const uint64_t h = IndexHash(*t);
+  for (auto [it, end] = index_.equal_range(h); it != end; ++it) {
+    const Tuple& other = *tuples_[it->second];
+    if (keyed && SameKey(other, *t)) {
       std::string key_str;
-      for (const Value& v : key) {
+      for (const Value& v : t->KeyValues()) {
         if (!key_str.empty()) key_str += ",";
         key_str += v.ToString();
       }
@@ -37,11 +61,12 @@ Status Relation::Insert(TuplePtr t) {
           "temporal key violation in " + scheme_->name() + ": key (" +
           key_str + ") already present");
     }
-  } else if (FindStructural(*t).has_value()) {
-    return Status::ConstraintViolation(
-        "duplicate tuple in keyless relation " + scheme_->name());
+    if (!keyed && other == *t) {
+      return Status::ConstraintViolation(
+          "duplicate tuple in keyless relation " + scheme_->name());
+    }
   }
-  IndexTuple(*t, tuples_.size());
+  index_.emplace(h, tuples_.size());
   tuples_.push_back(std::move(t));
   return Status::OK();
 }
@@ -60,24 +85,14 @@ Status Relation::InsertDedup(TuplePtr t) {
         "tuple scheme " + t->scheme()->name() +
         " does not match relation scheme " + scheme_->name());
   }
-  if (FindStructural(*t).has_value()) return Status::OK();
-  IndexTuple(*t, tuples_.size());
+  const uint64_t h = IndexHash(*t);
+  for (auto [it, end] = index_.equal_range(h); it != end; ++it) {
+    if (*tuples_[it->second] == *t) return Status::OK();
+  }
+  index_.emplace(h, tuples_.size());
   tuples_.push_back(std::move(t));
   return Status::OK();
 }
-
-namespace {
-
-void RemoveIndexEntry(std::unordered_map<uint64_t, std::vector<size_t>>* map,
-                      uint64_t hash, size_t idx) {
-  auto it = map->find(hash);
-  if (it == map->end()) return;
-  auto& chain = it->second;
-  chain.erase(std::remove(chain.begin(), chain.end(), idx), chain.end());
-  if (chain.empty()) map->erase(it);
-}
-
-}  // namespace
 
 Status Relation::ReplaceAt(size_t idx, TuplePtr t) {
   if (!t) return Status::InvalidArgument("ReplaceAt: null tuple");
@@ -90,19 +105,19 @@ Status Relation::ReplaceAt(size_t idx, TuplePtr t) {
   if (t->lifespan().empty()) {
     return Status::InvalidArgument("ReplaceAt: empty lifespan (use EraseAt)");
   }
+  const uint64_t h = IndexHash(*t);
   if (!scheme_->key().empty()) {
-    auto existing = FindByKey(t->KeyValues());
-    if (existing.has_value() && *existing != idx) {
-      return Status::ConstraintViolation(
-          "ReplaceAt: key already used by another tuple");
+    for (auto [it, end] = index_.equal_range(h); it != end; ++it) {
+      if (it->second != idx && SameKey(*tuples_[it->second], *t)) {
+        return Status::ConstraintViolation(
+            "ReplaceAt: key already used by another tuple");
+      }
     }
   }
-  const Tuple& old = *tuples_[idx];
-  if (!scheme_->key().empty()) {
-    RemoveIndexEntry(&key_index_, KeyHashOf(old.KeyValues()), idx);
-  }
-  RemoveIndexEntry(&struct_index_, old.Hash(), idx);
-  IndexTuple(*t, idx);
+  auto it = index_.find(IndexHash(*tuples_[idx]));
+  while (it->second != idx) ++it;  // equal hashes are adjacent
+  index_.erase(it);
+  index_.emplace(h, idx);
   tuples_[idx] = std::move(t);
   return Status::OK();
 }
@@ -112,49 +127,55 @@ Status Relation::EraseAt(size_t idx) {
     return Status::InvalidArgument("EraseAt: index out of range");
   }
   tuples_.erase(tuples_.begin() + static_cast<ptrdiff_t>(idx));
-  // Rebuild the indexes (indices after idx all shift).
-  key_index_.clear();
-  struct_index_.clear();
+  // Rebuild the index (indices after idx all shift).
+  index_.clear();
   for (size_t i = 0; i < tuples_.size(); ++i) {
-    IndexTuple(*tuples_[i], i);
+    index_.emplace(IndexHash(*tuples_[i]), i);
   }
   return Status::OK();
 }
 
 uint64_t Relation::KeyHashOf(const std::vector<Value>& key) const {
-  uint64_t h = 14695981039346656037ULL;
-  for (const Value& v : key) {
-    h = (h ^ v.Hash()) * kFnvPrime;
-  }
+  uint64_t h = kFnvOffset;
+  for (const Value& v : key) h = (h ^ v.Hash()) * kFnvPrime;
   return h;
 }
 
-std::optional<size_t> Relation::FindByKey(
-    const std::vector<Value>& key) const {
-  auto it = key_index_.find(KeyHashOf(key));
-  if (it == key_index_.end()) return std::nullopt;
-  for (size_t idx : it->second) {
-    if (tuples_[idx]->KeyValues() == key) return idx;
+bool Relation::KeyIs(const Tuple& stored,
+                     const std::vector<Value>& key) const {
+  const std::vector<size_t>& key_indices = scheme_->key_indices();
+  for (size_t j = 0; j < key.size(); ++j) {
+    if (FirstValue(stored.value(key_indices[j])) != key[j]) return false;
   }
-  return std::nullopt;
+  return true;
 }
 
 std::vector<size_t> Relation::FindAllByKey(
     const std::vector<Value>& key) const {
   std::vector<size_t> out;
-  auto it = key_index_.find(KeyHashOf(key));
-  if (it == key_index_.end()) return out;
-  for (size_t idx : it->second) {
-    if (tuples_[idx]->KeyValues() == key) out.push_back(idx);
+  if (scheme_->key().empty() || key.size() != scheme_->key().size()) {
+    return out;
   }
+  for (auto [it, end] = index_.equal_range(KeyHashOf(key)); it != end; ++it) {
+    if (KeyIs(*tuples_[it->second], key)) out.push_back(it->second);
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
+std::optional<size_t> Relation::FindByKey(
+    const std::vector<Value>& key) const {
+  const std::vector<size_t> all = FindAllByKey(key);
+  if (all.empty()) return std::nullopt;
+  return all.front();
+}
+
 std::optional<size_t> Relation::FindStructural(const Tuple& t) const {
-  auto it = struct_index_.find(t.Hash());
-  if (it == struct_index_.end()) return std::nullopt;
-  for (size_t idx : it->second) {
-    if (*tuples_[idx] == t) return idx;
+  // A tuple of another arity equals no member (and has no value at every
+  // key position).
+  if (t.arity() != scheme_->arity()) return std::nullopt;
+  for (auto [it, end] = index_.equal_range(IndexHash(t)); it != end; ++it) {
+    if (*tuples_[it->second] == t) return it->second;
   }
   return std::nullopt;
 }

@@ -10,8 +10,10 @@
 /// s' ∈ t2.l, t1.v(K)(s) ≠ t2.v(K)(s')." Because key attributes are
 /// constant-valued, this temporal uniqueness condition is equivalent to:
 /// distinct tuples carry distinct (constant) key-value vectors — which is
-/// what `Insert` enforces, via a hash index that also accelerates the
-/// object-based set operations and joins.
+/// what `Insert` enforces. A relation keeps one hash index: by key vector
+/// when the scheme has a key (structurally equal tuples share a key, so the
+/// key chain also answers `FindStructural` and `InsertDedup`), by
+/// structural hash when it has none.
 ///
 /// `LS(r)`, the lifespan of a relation, is the union of its tuples'
 /// lifespans; it is the value of the algebra's WHEN operator.
@@ -32,7 +34,7 @@ namespace hrdm {
 /// \brief A finite set of historical tuples over one scheme.
 ///
 /// Relations hold their tuples as shared immutable pointers (`TuplePtr`),
-/// so copying a `Relation` is copy-on-write: the tuple vector and indexes
+/// so copying a `Relation` is copy-on-write: the tuple vector and the index
 /// are duplicated, the tuples themselves are shared. Tuple order is
 /// insertion order and carries no semantics; `EqualsAsSet` compares
 /// relations as the sets they are.
@@ -121,7 +123,9 @@ class Relation {
     return InsertDedup(std::make_shared<const Tuple>(std::move(t)));
   }
 
-  /// \brief Index of a structurally identical tuple, if present.
+  /// \brief Index of a structurally identical tuple, if present. `t` may
+  /// be on any union-compatible scheme. On a keyed relation this walks the
+  /// chain of `t`'s key (taken at this relation's key positions).
   std::optional<size_t> FindStructural(const Tuple& t) const;
 
   /// \brief Replaces the tuple at `idx` (storage-engine update path).
@@ -138,7 +142,7 @@ class Relation {
 
   /// \brief Index of the first tuple with key vector `key`, if any.
   /// O(1) expected. (Unique under Insert; with InsertDedup several tuples
-  /// may share a key — see FindAllByKey.)
+  /// may share a key — see FindAllByKey.) Nothing on keyless relations.
   std::optional<size_t> FindByKey(const std::vector<Value>& key) const;
 
   /// \brief All tuple indices with key vector `key` (ascending).
@@ -169,15 +173,22 @@ class Relation {
   std::string ToString() const;
 
  private:
+  /// The `index_` hash of `t`: the key hash on keyed relations, the
+  /// structural `Tuple::Hash` on keyless ones.
+  uint64_t IndexHash(const Tuple& t) const;
   uint64_t KeyHashOf(const std::vector<Value>& key) const;
-  void IndexTuple(const Tuple& t, size_t idx);
+  /// Whether `stored` and `t` agree at every key position.
+  bool SameKey(const Tuple& stored, const Tuple& t) const;
+  /// Whether `stored`'s key vector is `key` (of the key's length).
+  bool KeyIs(const Tuple& stored, const std::vector<Value>& key) const;
 
   SchemePtr scheme_;
   std::vector<TuplePtr> tuples_;
-  /// KeyHash -> indices of tuples with that hash (collision chain).
-  std::unordered_map<uint64_t, std::vector<size_t>> key_index_;
-  /// Structural Tuple::Hash -> indices (for set-semantics dedup).
-  std::unordered_map<uint64_t, std::vector<size_t>> struct_index_;
+  /// IndexHash -> index of each tuple, one node per tuple (tuples sharing
+  /// a hash form a chain). One index serves key lookups and structural
+  /// dedup alike: in a keyed relation structurally equal tuples share a
+  /// key, so the key chain holds every structural candidate.
+  std::unordered_multimap<uint64_t, size_t> index_;
   bool materialized_ = false;
 };
 

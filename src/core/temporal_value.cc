@@ -43,6 +43,27 @@ Result<TemporalValue> TemporalValue::Constant(const Lifespan& domain,
 
 Result<TemporalValue> TemporalValue::FromSegments(
     std::vector<Segment> segments) {
+  // Input that is already canonical (what the serializer writes: valid,
+  // present, one type, begin-sorted and disjoint, equal neighbours not
+  // adjacent) is adopted as is; anything else takes the sort-and-merge path
+  // below, which would return it unchanged.
+  bool canonical = true;
+  for (size_t i = 0; i < segments.size() && canonical; ++i) {
+    const Segment& s = segments[i];
+    canonical = s.interval.valid() && !s.value.absent();
+    if (canonical && i > 0) {
+      const Segment& prev = segments[i - 1];
+      canonical = s.value.type() == prev.value.type() &&
+                  s.interval.begin > prev.interval.end &&
+                  !(prev.interval.adjacent(s.interval) && prev.value == s.value);
+    }
+  }
+  if (canonical) {
+    TemporalValue tv;
+    tv.segments_ = std::move(segments);
+    tv.Reindex();
+    return tv;
+  }
   // Drop empty intervals, validate values.
   std::vector<Segment> segs;
   segs.reserve(segments.size());

@@ -698,7 +698,7 @@ Status HashEquiJoinCursor::RunProbeParallel() {
   const size_t count = MorselCountFor(probes.size(), morsel);
   std::vector<MorselOut> morsels(count);
   size_t dispatched = 0;
-  HRDM_RETURN_IF_ERROR(util::ParallelMorsels(
+  const Status probed = util::ParallelMorsels(
       pool, probes.size(), morsel,
       [&](size_t begin, size_t end, size_t worker_id) -> Status {
         MorselOut& mo = morsels[begin / morsel];
@@ -708,7 +708,11 @@ Status HashEquiJoinCursor::RunProbeParallel() {
         }
         return Status::OK();
       },
-      &dispatched));
+      &dispatched);
+  if (!probed.ok()) {
+    stats_->OnRelease(probes.size());  // the probe buffer dies on every exit
+    return probed;
+  }
   stats_->morsels_dispatched += dispatched;
   // Concatenate the per-morsel output runs in morsel order: the joined
   // stream is the serial emission order, morsel boundaries invisible.

@@ -47,14 +47,15 @@ Result<int64_t> Reader::GetSignedVarint() {
 
 Result<std::string> Reader::GetString() {
   HRDM_ASSIGN_OR_RETURN(uint64_t len, GetVarint());
-  return GetBytes(len);
+  HRDM_ASSIGN_OR_RETURN(std::string_view bytes, GetBytes(len));
+  return std::string(bytes);
 }
 
-Result<std::string> Reader::GetBytes(uint64_t n) {
+Result<std::string_view> Reader::GetBytes(uint64_t n) {
   if (n > remaining()) {
     return Status::Corruption("truncated string");
   }
-  std::string s(data_.substr(pos_, n));
+  const std::string_view s = data_.substr(pos_, n);
   pos_ += n;
   return s;
 }

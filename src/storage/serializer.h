@@ -52,8 +52,9 @@ class Reader {
   Result<uint64_t> GetVarint();
   Result<int64_t> GetSignedVarint();
   Result<std::string> GetString();
-  /// \brief Reads exactly `n` raw bytes (no length prefix).
-  Result<std::string> GetBytes(uint64_t n);
+  /// \brief Reads exactly `n` raw bytes (no length prefix) as a view into
+  /// the reader's buffer, valid as long as that buffer is.
+  Result<std::string_view> GetBytes(uint64_t n);
 
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }

@@ -119,7 +119,8 @@ Result<Database> DecodeSnapshotFile(std::string_view data) {
   }
   Reader r(payload);
   HRDM_ASSIGN_OR_RETURN(uint64_t image_len, r.GetVarint());
-  HRDM_ASSIGN_OR_RETURN(std::string image, r.GetBytes(image_len));
+  // The image is decoded in place: a view into `payload`, not a copy.
+  HRDM_ASSIGN_OR_RETURN(std::string_view image, r.GetBytes(image_len));
   HRDM_ASSIGN_OR_RETURN(Database db, Database::DecodeSnapshot(image));
   // Re-issue the index DDL: rebuilds each index from the decoded relations
   // via the same path schema evolution uses.

@@ -9,7 +9,8 @@
 /// and bit rot are *detected* — recovery then keeps the longest valid
 /// prefix instead of replaying garbage. CRC-32C is the polynomial used by
 /// most storage engines (RocksDB, LevelDB, Kafka, iSCSI); this is the
-/// portable table-driven software implementation, no hardware intrinsics.
+/// portable table-driven slice-by-8 software implementation (eight bytes
+/// per step), no hardware intrinsics.
 
 #include <cstdint>
 #include <string_view>

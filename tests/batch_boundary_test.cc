@@ -192,6 +192,36 @@ TEST(BatchBoundaryTest, HashEquiJoinCursor) {
   }
 }
 
+// The parallel probe drains its whole probe side into a buffer before the
+// morsels run. A probe that fails must release that buffer too, leaving
+// only the build side counted. No HRQL equi-join's pair kernel can fail,
+// so the cursor is composed directly around one that always does.
+TEST(BatchBoundaryTest, FailedParallelProbeReleasesItsBuffer) {
+  auto db = IntDb(2 * kB + 1);
+  AddJoinPartner(db, kB + 1);
+  const Relation& r = **db.Get("r");
+  const Relation& r2 = **db.Get("r2");
+  auto scheme = ThetaJoinScheme(r.scheme(), "V", r2.scheme(), "W");
+  ASSERT_TRUE(scheme.ok()) << scheme.status().ToString();
+  const JoinPairFn failing = [](const Tuple&, const Tuple&) {
+    return Result<Lifespan>(Status::Internal("pair kernel failed"));
+  };
+  PlanContext ctx;
+  ctx.batch_size = kB;
+  {
+    HashEquiJoinCursor join(
+        std::make_unique<ScanCursor>(r, 1, &ctx),
+        std::make_unique<ScanCursor>(r2, 1, &ctx), /*build_left=*/false,
+        {{1, 1}}, JoinAssembly(*scheme, *r.scheme(), *r2.scheme()), failing,
+        /*parallelism=*/2, &ctx);
+    auto batch = join.NextBatch();
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(ctx.stats.buffered_now, r2.size()) << "only the build side";
+  }
+  EXPECT_EQ(ctx.stats.buffered_now, 0u);
+}
+
 TEST(BatchBoundaryTest, NestedLoopJoinCursor) {
   for (size_t n : kSizes) {
     SCOPED_TRACE("n=" + std::to_string(n));

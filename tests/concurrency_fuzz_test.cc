@@ -105,6 +105,9 @@ TEST_P(ConcurrencyFuzzTest, ReadersStayIsolatedAndWritersSerialize) {
   options.fsync = storage::FsyncPolicy::kOff;  // durability ≠ this test
   std::string final_render;
   std::vector<LoggedOp> log;
+  // Set-up steps may fail by design (storage_test_util.h); the oracle
+  // below must see the same outcome at every step.
+  std::vector<StatusCode> setup_codes;
 
   {
     auto opened = StorageEngine::Open(dir.path(), options);
@@ -114,7 +117,7 @@ TEST_P(ConcurrencyFuzzTest, ReadersStayIsolatedAndWritersSerialize) {
     // Serial warm-up: schema + indexes + a few objects.
     WorkloadRunner setup(seed);
     for (int step = 0; step < kSetupSteps; ++step) {
-      setup.Step(&engine, step);
+      setup_codes.push_back(setup.Step(&engine, step).code());
     }
 
     // The writer lock: applying an op to the engine and logging it happen
@@ -195,7 +198,9 @@ TEST_P(ConcurrencyFuzzTest, ReadersStayIsolatedAndWritersSerialize) {
     Database oracle;
     WorkloadRunner setup(seed);
     for (int step = 0; step < kSetupSteps; ++step) {
-      setup.Step(&oracle, step);
+      EXPECT_EQ(setup.Step(&oracle, step).code(),
+                setup_codes[static_cast<size_t>(step)])
+          << "set-up step " << step;
     }
     std::vector<WorkloadRunner> writers;
     writers.reserve(kWriters);

@@ -68,12 +68,26 @@ std::string DatabaseOutcome(const Database& db, const std::string& q) {
   return Outcome(query::Run(q, db));
 }
 
+// Runs workload step `step` on `target`. Step 0 creates the relation and
+// must return `step0`: OK on a fresh target, AlreadyExists on one that
+// SeededDatabase already populated. Later steps may fail by design
+// (assigning to a dead object, say: see storage_test_util.h); the isolation
+// properties hold whatever they return, so their statuses are dropped here.
+template <typename Target>
+void RunStep(WorkloadRunner& workload, Target* target, int step,
+             StatusCode step0 = StatusCode::kOk) {
+  const Status st = workload.Step(target, step);
+  if (step == 0) {
+    EXPECT_EQ(st.code(), step0) << st.ToString();
+  }
+}
+
 // Builds a small populated database: obj with three tuples + both indexes.
 Database SeededDatabase() {
   Database db;
   WorkloadRunner workload(/*seed=*/1);
   for (int step = 0; step < 40; ++step) {
-    workload.Step(&db, step);
+    RunStep(workload, &db, step);
   }
   return db;
 }
@@ -89,7 +103,7 @@ TEST(SessionIsolationTest, SnapshotFrozenAcrossDml) {
   // observe any of it.
   WorkloadRunner workload(/*seed=*/2);
   for (int step = 0; step < 60; ++step) {
-    workload.Step(&db, step);
+    RunStep(workload, &db, step, StatusCode::kAlreadyExists);
     EXPECT_EQ(s.ToString(), frozen) << "session leaked step " << step;
   }
   EXPECT_EQ(s.EncodeSnapshot(), frozen_image);
@@ -108,7 +122,7 @@ TEST(SessionIsolationTest, QueriesAnswerFromTheFrozenReplica) {
 
   WorkloadRunner workload(/*seed=*/3);
   for (int step = 0; step < 50; ++step) {
-    workload.Step(&db, step);
+    RunStep(workload, &db, step, StatusCode::kAlreadyExists);
   }
   for (const std::string& q : QueryBattery()) {
     EXPECT_EQ(SessionOutcome(s, q), DatabaseOutcome(*replica, q))
@@ -296,7 +310,7 @@ TEST(SessionIsolationTest, EngineSessionsPinAcrossLoggedMutations) {
 
   WorkloadRunner workload(/*seed=*/5);
   for (int step = 0; step < 30; ++step) {
-    workload.Step(&*engine, step);
+    RunStep(workload, &*engine, step);
   }
   Session s = Session::Open(*engine);
   const std::string frozen = s.ToString();
@@ -304,7 +318,7 @@ TEST(SessionIsolationTest, EngineSessionsPinAcrossLoggedMutations) {
   ASSERT_TRUE(replica.ok());
 
   for (int step = 30; step < 70; ++step) {
-    workload.Step(&*engine, step);
+    RunStep(workload, &*engine, step);
     ASSERT_EQ(s.ToString(), frozen) << "engine session leaked step " << step;
   }
   for (const std::string& q : QueryBattery()) {
@@ -336,7 +350,7 @@ TEST_P(SessionFuzzTest, SessionsStayFrozenThroughRandomWorkloads) {
 
   constexpr int kSteps = 120;
   for (int step = 0; step < kSteps; ++step) {
-    workload.Step(&db, step);
+    RunStep(workload, &db, step);
 
     // Every open session must still render byte-identically and answer
     // every query exactly as at open time.

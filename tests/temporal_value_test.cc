@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "util/random.h"
 
@@ -68,6 +71,107 @@ TEST(TemporalValueTest, FromSegmentsRejectsMixedTypes) {
                {Interval(6, 9), Value::String("x")}});
   EXPECT_FALSE(f.ok());
   EXPECT_EQ(f.status().code(), StatusCode::kTypeError);
+}
+
+// FromSegments as it was before canonical input got its early pass: drop
+// invalid intervals, reject absent values, sort by begin, then check types
+// and overlap while merging equal adjacent segments. Kept as the oracle the
+// early pass must agree with on every input, errors included.
+Result<std::vector<Segment>> ReferenceFromSegments(std::vector<Segment> in) {
+  std::vector<Segment> segs;
+  for (Segment& s : in) {
+    if (!s.interval.valid()) continue;
+    if (s.value.absent()) {
+      return Status::InvalidArgument(
+          "temporal value segment holds an absent value");
+    }
+    segs.push_back(std::move(s));
+  }
+  std::sort(segs.begin(), segs.end(), [](const Segment& a, const Segment& b) {
+    return a.interval.begin < b.interval.begin;
+  });
+  std::vector<Segment> out;
+  for (Segment& s : segs) {
+    if (!out.empty()) {
+      Segment& last = out.back();
+      if (s.value.type() != last.value.type()) {
+        return Status::TypeError(
+            "temporal value segments mix domain types: " +
+            std::string(DomainTypeName(last.value.type())) + " vs " +
+            std::string(DomainTypeName(s.value.type())));
+      }
+      if (s.interval.begin <= last.interval.end) {
+        return Status::InvalidArgument(
+            "temporal value segments overlap at " + s.interval.ToString());
+      }
+      if (last.interval.adjacent(s.interval) && last.value == s.value) {
+        last.interval.end = s.interval.end;
+        continue;
+      }
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+void ExpectSameAsReference(const std::vector<Segment>& in) {
+  const auto got = TV(in);
+  const auto want = ReferenceFromSegments(in);
+  ASSERT_EQ(got.ok(), want.ok())
+      << (got.ok() ? want.status() : got.status()).ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    return;
+  }
+  EXPECT_EQ(got->segments(), *want);
+  std::vector<Interval> ivs;
+  for (const Segment& s : *want) ivs.push_back(s.interval);
+  EXPECT_EQ(got->domain(), Lifespan::FromIntervals(std::move(ivs)));
+}
+
+TEST(TemporalValueTest, FromSegmentsMatchesReferenceOnDirectedInput) {
+  const Value a = Value::Int(1);
+  const Value b = Value::Int(2);
+  const std::vector<std::vector<Segment>> cases = {
+      {},                                                       // empty
+      {{Interval(0, 4), a}, {Interval(6, 9), a}},               // canonical
+      {{Interval(0, 4), a}, {Interval(5, 9), b}},               // canonical
+      {{Interval(5, 9), b}, {Interval(0, 4), a}},               // unsorted
+      {{Interval(0, 4), a}, {Interval(5, 9), a}},               // equal adj.
+      {{Interval(0, 5), a}, {Interval(5, 9), b}},               // overlap
+      {{Interval(0, 9), a}, {Interval(3, 4), b}},               // nested
+      {{Interval(0, 4), a}, {Interval(6, 9), Value::String("x")}},  // types
+      {{Interval(0, 4), a}, {Interval(6, 9), Value()}},         // absent
+      {{Interval(4, 0), Value()}, {Interval(6, 9), a}},         // invalid iv
+      {{Interval(0, 4), a}, {Interval(9, 6), a}, {Interval(5, 5), a}},
+      {{Interval(kTimeMax - 1, kTimeMax), a}},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    ExpectSameAsReference(cases[i]);
+  }
+}
+
+TEST(TemporalValueTest, FromSegmentsMatchesReferenceOnRandomInput) {
+  Rng rng(20261019);
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::vector<Segment> in;
+    const bool sorted = rng.Chance(0.5);  // mostly canonical-shaped input
+    TimePoint t = rng.Uniform(-3, 3);
+    const int n = static_cast<int>(rng.Uniform(0, 6));
+    for (int k = 0; k < n; ++k) {
+      const TimePoint b = sorted ? t : rng.Uniform(-3, 30);
+      const TimePoint e = b + rng.Uniform(-1, 5);  // sometimes invalid
+      Value v = Value::Int(rng.Uniform(0, 2));     // equal neighbours likely
+      if (rng.Chance(0.04)) v = Value::String("s");
+      if (rng.Chance(0.03)) v = Value();
+      in.push_back(Segment{Interval(b, e), std::move(v)});
+      t = std::max(b, e) + rng.Uniform(sorted ? 1 : 0, 3);  // gap or touch
+    }
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    ExpectSameAsReference(in);
+    if (HasFailure()) return;
+  }
 }
 
 TEST(TemporalValueTest, ValueAtBoundaries) {
