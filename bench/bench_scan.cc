@@ -8,14 +8,25 @@
 // pays O(|r|) materializations per query. The differential fuzz suite
 // asserts both paths return identical relations; here we measure the gap.
 //
+// A second table times the full-scan leaf itself, cold and warm, at
+// parallelism 1 and 4 (the serial per-batch loop versus the morsel-parallel
+// pre-pass). "Cold" scans run over fresh tuple copies, so no stored tuple
+// has its interpolation memoized yet; "warm" scans repeat over the same
+// copies. One relation is model-level (values total on their vls: the scan
+// passes the stored handles through), the other stores a stepwise value
+// at three chronons per tuple (the scan interpolates it, Figure 9).
+//
 // Like bench_executor/bench_join this is a self-contained harness (no
 // google-benchmark): it emits machine-readable BENCH_scan.json in the same
 // shape (per-path ops/sec, result tuples, tuples scanned, index
-// candidates) so later PRs can track the perf trajectory.
+// candidates, scan-leaf medians) so later PRs can track the perf
+// trajectory.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "query/executor.h"
@@ -60,6 +71,104 @@ storage::Database MakeScanDb(uint64_t seed) {
   (void)db.CreateValueIndex("r", "V");
   return db;
 }
+
+// --- scan leaf, cold and warm ---------------------------------------------
+
+constexpr size_t kLeafTuples = 20000;
+constexpr int kLeafReps = 5;
+
+/// `s(Id*, V)` with kLeafTuples rows and stepwise V. Model-level rows store
+/// V on their whole lifespan; sparse rows store it at three chronons, so
+/// the model level fills the rest.
+Relation MakeLeafRelation(uint64_t seed, bool sparse) {
+  Rng rng(seed);
+  const Lifespan full = Span(0, kHorizon - 1);
+  auto scheme = *RelationScheme::Make(
+      "s", {{"Id", DomainType::kString, full, InterpolationKind::kDiscrete},
+            {"V", DomainType::kInt, full, InterpolationKind::kStepwise}},
+      {"Id"});
+  Relation rel(scheme);
+  for (size_t i = 0; i < kLeafTuples; ++i) {
+    const TimePoint b = rng.Uniform(0, kHorizon - kLifespanWidth - 1);
+    Tuple::Builder tb(scheme, Span(b, b + kLifespanWidth - 1));
+    std::string id = "s";
+    id += std::to_string(i);
+    tb.SetConstant("Id", Value::String(std::move(id)));
+    if (sparse) {
+      for (TimePoint t : {b, b + 30, b + 60}) {
+        tb.SetAt("V", t, Value::Int(rng.Uniform(0, kValueSpace - 1)));
+      }
+    } else {
+      tb.SetConstant("V", Value::Int(rng.Uniform(0, kValueSpace - 1)));
+    }
+    (void)rel.Insert(*std::move(tb).Build());
+  }
+  return rel;
+}
+
+/// A copy of `rel` whose tuples are new objects, so every memo is empty.
+Relation FreshCopy(const Relation& rel) {
+  Relation out(rel.scheme());
+  for (const Tuple& t : rel) (void)out.Insert(Tuple(t));
+  return out;
+}
+
+/// Wall time of one ScanCursor over `rel`, from construction to end of
+/// stream and destruction.
+double ScanMs(const Relation& rel, size_t parallelism) {
+  const auto start = Clock::now();
+  size_t n = 0;
+  {
+    query::PlanContext ctx;
+    query::ScanCursor scan(rel, parallelism, &ctx);
+    while (true) {
+      auto batch = scan.NextBatch();
+      if (!batch.ok()) std::abort();
+      if (*batch == nullptr) break;
+      n += (*batch)->size();
+    }
+  }
+  if (n != rel.size()) std::abort();
+  const std::chrono::duration<double, std::milli> elapsed =
+      Clock::now() - start;
+  return elapsed.count();
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+struct LeafResult {
+  std::string name;
+  double p1_ms = 0;
+  double p4_ms = 0;
+};
+
+/// Median scan times at parallelism 1 and 4, alternating per repetition.
+/// Cold: each scan gets its own fresh copy. Warm: one copy, scanned once
+/// before timing so every memo is filled.
+LeafResult TimeLeaf(const std::string& name, const Relation& base,
+                    bool cold) {
+  std::vector<double> p1, p4;
+  Relation warm = FreshCopy(base);
+  if (!cold) ScanMs(warm, 1);
+  for (int rep = 0; rep < kLeafReps; ++rep) {
+    for (size_t parallelism : {size_t{1}, size_t{4}}) {
+      double ms;
+      if (cold) {
+        const Relation fresh = FreshCopy(base);
+        ms = ScanMs(fresh, parallelism);
+      } else {
+        ms = ScanMs(warm, parallelism);
+      }
+      (parallelism == 1 ? p1 : p4).push_back(ms);
+    }
+  }
+  return {name, Median(p1), Median(p4)};
+}
+
+// --- access paths -------------------------------------------------------------
 
 struct PathResult {
   double ops_per_sec = 0;
@@ -196,7 +305,38 @@ int main() {
                   w.speedup);
     json += buf;
   }
-  json += "\n  ]\n}\n";
+  json += "\n  ],\n";
+
+  // Scan leaf, cold and warm. speedup_4_vs_1 = p1_ms / p4_ms.
+  const Relation model = MakeLeafRelation(/*seed=*/2, /*sparse=*/false);
+  const Relation sparse = MakeLeafRelation(/*seed=*/3, /*sparse=*/true);
+  const std::vector<LeafResult> leaves = {
+      TimeLeaf("model_level_cold", model, true),
+      TimeLeaf("model_level_warm", model, false),
+      TimeLeaf("sparse_stepwise_cold", sparse, true),
+      TimeLeaf("sparse_stepwise_warm", sparse, false),
+  };
+  char head[160];
+  std::snprintf(head, sizeof(head),
+                "  \"scan_leaf\": {\"tuples\": %zu, \"reps\": %d, "
+                "\"hardware_concurrency\": %u, \"rows\": [\n",
+                kLeafTuples, kLeafReps, std::thread::hardware_concurrency());
+  json += head;
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    const LeafResult& l = leaves[i];
+    const double speedup = l.p1_ms / l.p4_ms;
+    std::printf("%-22s | parallelism 1 %8.2f ms | parallelism 4 %8.2f ms | "
+                "4 vs 1 %.2fx\n",
+                l.name.c_str(), l.p1_ms, l.p4_ms, speedup);
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"name\": \"%s\", \"p1_ms\": %.3f, \"p4_ms\": "
+                  "%.3f, \"speedup_4_vs_1\": %.3f}%s\n",
+                  l.name.c_str(), l.p1_ms, l.p4_ms, speedup,
+                  i + 1 < leaves.size() ? "," : "");
+    json += buf;
+  }
+  json += "  ]}\n}\n";
 
   std::FILE* f = std::fopen("BENCH_scan.json", "w");
   if (!f) {

@@ -180,6 +180,37 @@ Result<std::shared_ptr<const Tuple>> Tuple::MaterializedShared() const {
   return fresh;
 }
 
+bool Tuple::IsModelLevel() const {
+  const uint8_t memo = model_level_memo_.load(std::memory_order_relaxed);
+  if (memo != kModelLevelUnknown) return memo == kModelLevelYes;
+  bool model = true;
+  for (size_t i = 0; i < values_.size() && model; ++i) {
+    const TemporalValue& v = values_[i];
+    if (v.empty()) continue;  // every kind interpolates nothing to nothing
+    // vls = t.l ∩ ALS(i), which is t.l itself (no intersection to build)
+    // when the attribute lifespan covers the tuple's.
+    const Lifespan& als = scheme_->AttributeLifespan(i);
+    const bool als_covers = als.ContainsAll(lifespan_);
+    const Lifespan narrowed =
+        als_covers ? Lifespan() : lifespan_.Intersect(als);
+    const Lifespan& vls = als_covers ? lifespan_ : narrowed;
+    switch (scheme_->attribute(i).interpolation) {
+      case InterpolationKind::kDiscrete:
+        model = vls.ContainsAll(v.domain());
+        break;
+      case InterpolationKind::kStepwise:
+        model = v.domain() == vls;
+        break;
+      case InterpolationKind::kLinear:
+        model = v.type() == DomainType::kDouble && v.domain() == vls;
+        break;
+    }
+  }
+  model_level_memo_.store(model ? kModelLevelYes : kModelLevelNo,
+                          std::memory_order_relaxed);
+  return model;
+}
+
 std::vector<Value> Tuple::KeyValues() const {
   std::vector<Value> key;
   key.reserve(scheme_->key_indices().size());

@@ -131,10 +131,21 @@ class Tuple {
   /// equal-valued materialization instead of waiting for the winner. The
   /// cache is per-object and is deliberately not copied with the tuple:
   /// derived tuples (restrictions, projections) are new objects with their
-  /// own — initially empty — memo. Storage-resident tuples are long-lived,
-  /// so repeated scans interpolate each stored tuple exactly once per
-  /// database version, not once per query.
+  /// own — initially empty — memo. The scan leaves call this only for
+  /// stored tuples that are not `IsModelLevel()`: a model-level tuple is
+  /// its own materialization, so it is never interpolated and never gets a
+  /// memo. The others are long-lived, so repeated scans interpolate each
+  /// of them exactly once per database version, not once per query.
   Result<std::shared_ptr<const Tuple>> MaterializedShared() const;
+
+  /// \brief True when the stored representation already is the model level:
+  /// for every attribute `i`, `Interpolate(value(i), Vls(i), kind)` returns
+  /// `value(i)` itself, so `Materialized()` equals `*this`. Decided by a
+  /// sufficient per-attribute rule: the value is empty or its domain is all
+  /// of `Vls(i)` (every kind; a linear value must also be double-valued),
+  /// or, for a discrete attribute, its domain lies inside `Vls(i)`.
+  /// Memoized like `Hash()`: a relaxed atomic over immutable state.
+  bool IsModelLevel() const;
 
   /// \brief The constant key values, in key-attribute order.
   std::vector<Value> KeyValues() const;
@@ -223,6 +234,7 @@ class Tuple {
   void ResetMemos() {
     memo_state_.store(kMemoEmpty, std::memory_order_relaxed);
     materialized_memo_.reset();
+    model_level_memo_.store(kModelLevelUnknown, std::memory_order_relaxed);
     hash_memo_.store(0, std::memory_order_relaxed);
   }
 
@@ -233,11 +245,19 @@ class Tuple {
   // ThreadSanitizer verifies as-is (unlike std::atomic<std::shared_ptr>,
   // whose embedded lock-bit spinlock TSan cannot model).
   enum : uint32_t { kMemoEmpty = 0, kMemoClaimed = 1, kMemoReady = 2 };
+  // States of the IsModelLevel memo (a relaxed atomic like hash_memo_:
+  // racing first calls compute and store the same answer).
+  enum : uint8_t {
+    kModelLevelUnknown = 0,
+    kModelLevelNo = 1,
+    kModelLevelYes = 2,
+  };
 
   SchemePtr scheme_;
   Lifespan lifespan_;
   std::vector<TemporalValue> values_;
   mutable std::atomic<uint32_t> memo_state_{kMemoEmpty};
+  mutable std::atomic<uint8_t> model_level_memo_{kModelLevelUnknown};
   mutable std::shared_ptr<const Tuple> materialized_memo_;
   mutable std::atomic<uint64_t> hash_memo_{0};  // 0 = not yet computed
 };

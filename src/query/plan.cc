@@ -39,13 +39,21 @@ size_t MorselCountFor(size_t n, size_t morsel) {
   return n == 0 ? 0 : (n + morsel - 1) / morsel;
 }
 
-/// Interpolates `tuples[begin, end)` in place (representation → model,
-/// Figure 9) — the per-morsel kernel of the parallel scan leaves. Worker
-/// threads allocate through the heap: the plan arena is coordinator-only.
+/// The model-level handle of a stored tuple (representation → model,
+/// Figure 9): the stored handle itself when its representation already is
+/// the model, else its memoized interpolation.
+Result<TuplePtr> ModelLevel(const TuplePtr& stored) {
+  if (stored->IsModelLevel()) return stored;
+  return stored->MaterializedShared();
+}
+
+/// Interpolates `tuples[begin, end)` in place — the per-morsel kernel of
+/// the parallel scan leaves. Worker threads allocate through the heap: the
+/// plan arena is coordinator-only.
 Status MaterializeRange(std::vector<TuplePtr>& tuples, size_t begin,
                         size_t end) {
   for (size_t i = begin; i < end; ++i) {
-    HRDM_ASSIGN_OR_RETURN(tuples[i], tuples[i]->MaterializedShared());
+    HRDM_ASSIGN_OR_RETURN(tuples[i], ModelLevel(tuples[i]));
   }
   return Status::OK();
 }
@@ -233,7 +241,7 @@ Result<TupleBatch*> ScanCursor::NextBatch() {
     parallel_primed_ = true;
     HRDM_RETURN_IF_ERROR(ParallelMaterialize(tuples_, parallelism_, stats_));
     materialized_ = true;
-    stats_->OnBuffer(tuples_.size());  // interpolated copies, held till death
+    stats_->OnBuffer(tuples_.size());  // model-level handles, held till death
   }
   if (pos_ >= tuples_.size()) return nullptr;
   const size_t n = std::min(ctx_->batch_size, tuples_.size() - pos_);
@@ -242,11 +250,11 @@ Result<TupleBatch*> ScanCursor::NextBatch() {
     for (size_t i = 0; i < n; ++i) batch_.push_back(tuples_[pos_ + i]);
   } else {
     // Representation → model mapping (Figure 9), one tight loop per batch.
-    // MaterializedShared memoizes per stored tuple, so re-scanning a
-    // database version re-uses the interpolated handles instead of
-    // re-running Figure 9's mapping every query.
+    // Model-level stored tuples pass through as they are; the others are
+    // interpolated once per database version (MaterializedShared memoizes
+    // per stored tuple), not once per query.
     for (size_t i = 0; i < n; ++i) {
-      HRDM_ASSIGN_OR_RETURN(TuplePtr m, tuples_[pos_ + i]->MaterializedShared());
+      HRDM_ASSIGN_OR_RETURN(TuplePtr m, ModelLevel(tuples_[pos_ + i]));
       batch_.push_back(std::move(m));
     }
   }
@@ -292,7 +300,7 @@ Result<TupleBatch*> IndexScanCursor::NextBatch() {
     for (size_t i = 0; i < n; ++i) batch_.push_back(tuples_[pos_ + i]);
   } else {
     for (size_t i = 0; i < n; ++i) {
-      HRDM_ASSIGN_OR_RETURN(TuplePtr m, tuples_[pos_ + i]->MaterializedShared());
+      HRDM_ASSIGN_OR_RETURN(TuplePtr m, ModelLevel(tuples_[pos_ + i]));
       batch_.push_back(std::move(m));
     }
   }
@@ -552,7 +560,7 @@ Status HashEquiJoinCursor::Prime() {
     // digest exactly as JoinKeysDigest folds the probe side's.
     auto adopt = [&](TuplePtr t) -> Result<size_t> {
       if (!prebuilt_->materialized) {
-        HRDM_ASSIGN_OR_RETURN(t, t->MaterializedShared());
+        HRDM_ASSIGN_OR_RETURN(t, ModelLevel(t));
       }
       build_.push_back(std::move(t));
       stats_->OnBuffer(1);

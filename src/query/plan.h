@@ -40,7 +40,8 @@
 /// TimeSliceTupleRaw, ProjectTupleRaw, JoinAssembly, JoinKeysDigest, ...),
 /// so the streaming and whole-relation paths share one implementation of
 /// the paper's semantics. Interpolation (representation → model mapping,
-/// Figure 9) happens once, per tuple, at the scan leaf. Restriction
+/// Figure 9) happens at the scan leaf, at most once per stored tuple and
+/// never for one whose representation already is the model. Restriction
 /// cursors take a pass-through fast path where the restriction is provably
 /// the identity (the criterion holds over the whole lifespan / the window
 /// covers it), re-emitting the input handle untouched.
@@ -98,8 +99,9 @@
 /// (`PlanOptions::parallelism`, default HRDM_THREADS / hardware
 /// concurrency; serial below a cardinality threshold):
 ///  * the scan leaves split their interpolation pass (representation →
-///    model, the per-tuple CPU cost of a base read) into ~kMorselSize-tuple
-///    morsels materialized by workers into per-morsel slots;
+///    model, the per-tuple CPU cost of a base read of a stored tuple that
+///    is not already model-level) into ~kMorselSize-tuple morsels
+///    materialized by workers into per-morsel slots;
 ///  * `HashEquiJoinCursor` digests its drained build side via per-morsel
 ///    partition tables merged in morsel order (bucket contents identical
 ///    to the serial build), then buffers the probe side and probes morsels
@@ -352,7 +354,9 @@ using CursorPtr = std::unique_ptr<Cursor>;
 /// tuple handles (not the relation's key/structural indexes), so the scan
 /// is safe even if the stored relation is later mutated and construction
 /// is O(#tuples) pointer bumps.
-/// Non-materialized inputs are interpolated per batch (into the arena);
+/// Non-materialized inputs are mapped to the model level per batch: a
+/// stored tuple that `IsModelLevel()` is emitted as its own handle, any
+/// other is replaced by its memoized interpolation (`MaterializedShared`);
 /// with `parallelism > 1` the whole interpolation pass instead runs up
 /// front, morsel-parallel on the worker pool (per-morsel output slots, so
 /// tuple order is unchanged), and the materialized tuples stream from the

@@ -23,7 +23,7 @@ void PutString(std::string* out, std::string_view s) {
   out->append(s);
 }
 
-Result<uint64_t> Reader::GetVarint() {
+Result<uint64_t> Reader::GetVarintSlow() {
   uint64_t v = 0;
   int shift = 0;
   while (true) {
@@ -38,11 +38,6 @@ Result<uint64_t> Reader::GetVarint() {
     if ((byte & 0x80) == 0) return v;
     shift += 7;
   }
-}
-
-Result<int64_t> Reader::GetSignedVarint() {
-  HRDM_ASSIGN_OR_RETURN(uint64_t raw, GetVarint());
-  return static_cast<int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
 }
 
 Result<std::string> Reader::GetString() {

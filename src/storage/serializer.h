@@ -49,8 +49,25 @@ class Reader {
  public:
   explicit Reader(std::string_view data) : data_(data) {}
 
-  Result<uint64_t> GetVarint();
-  Result<int64_t> GetSignedVarint();
+  /// \brief Reads one LEB128 varint. The one-byte encoding (values below
+  /// 128, most of a snapshot's counts and deltas) is decoded inline; longer
+  /// ones go through the out-of-line loop, which also rejects truncated and
+  /// overflowing input.
+  Result<uint64_t> GetVarint() {
+    if (pos_ < data_.size()) {
+      const uint8_t byte = static_cast<uint8_t>(data_[pos_]);
+      if (byte < 0x80) {
+        ++pos_;
+        return uint64_t{byte};
+      }
+    }
+    return GetVarintSlow();
+  }
+  /// \brief Reads one zigzag-encoded signed varint.
+  Result<int64_t> GetSignedVarint() {
+    HRDM_ASSIGN_OR_RETURN(uint64_t raw, GetVarint());
+    return static_cast<int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
+  }
   Result<std::string> GetString();
   /// \brief Reads exactly `n` raw bytes (no length prefix) as a view into
   /// the reader's buffer, valid as long as that buffer is.
@@ -60,6 +77,8 @@ class Reader {
   size_t remaining() const { return data_.size() - pos_; }
 
  private:
+  Result<uint64_t> GetVarintSlow();
+
   std::string_view data_;
   size_t pos_ = 0;
 };

@@ -403,6 +403,11 @@ void ExpectAggParity(const storage::Database& db, const std::string& hrql) {
       << hrql << " (optimized: " << optimized->ToString() << ")";
 }
 
+TEST(AggregateDifferentialTest, DatabasesHoldBothModelLevelSides) {
+  hrdm::testing::ExpectBothModelLevelSides(
+      hrdm::testing::RandomUnionCompatibleDb);
+}
+
 TEST(AggregateDifferentialTest, RandomDatabases) {
   // ≥100 random databases; override seeds with HRDM_AGG_FUZZ_SEEDS=....
   for (uint64_t seed : hrdm::testing::SeedsFromEnv(

@@ -8,7 +8,9 @@
 //  * random database generation — the join-shaped four-relation database
 //    (`ra`/`rb` equi-join partners, `na`/`nb` natural-join partners with an
 //    occasionally time-varying shared attribute `D`) and the
-//    union-compatible pair (`r0`/`r1`) the aggregate fuzz uses;
+//    union-compatible pair (`r0`/`r1`) the aggregate fuzz uses, each
+//    with a few sparse rows appended so that stored tuples on both sides
+//    of `Tuple::IsModelLevel` reach the scan leaves;
 //  * the batch-size axis — every plan execution is swept over
 //    `PlanOptions::batch_size` ∈ {auto, 1, 7, 1024} and the rendered
 //    output asserted *exactly equal* (`ToString()`, not set-equal) across
@@ -111,6 +113,51 @@ inline void ExpectMatchesOracle(const storage::Database& db,
   }
 }
 
+/// Appends `per_relation` rows with sparse stored histories to each of
+/// `relations` (a single string key and int or time attributes, as in the
+/// generators below; ints come from a small range, so the rows still meet
+/// the others in joins and groups): each
+/// non-key attribute stores values at a few chronons of its vls only, so
+/// the rows are not model-level (`Tuple::IsModelLevel`) and the scan
+/// leaves interpolate them, while the generated rows are model-level and
+/// pass through as stored. Drawn after everything else, so the rows the
+/// generator already made are unchanged.
+inline void AppendSparseRows(Rng* rng, storage::Database* db,
+                             const std::vector<std::string>& relations,
+                             size_t per_relation, TimePoint horizon) {
+  for (const std::string& name : relations) {
+    const SchemePtr scheme = (*db->Get(name))->scheme();
+    for (size_t i = 0; i < per_relation; ++i) {
+      const TimePoint b = rng->Uniform(0, horizon - 10);
+      const Lifespan life =
+          Span(b, std::min<TimePoint>(b + rng->Uniform(5, 25), horizon - 1));
+      Tuple::Builder tb(scheme, life);
+      for (size_t a = 0; a < scheme->arity(); ++a) {
+        const AttributeDef& def = scheme->attribute(a);
+        if (scheme->IsKey(a)) {
+          tb.SetConstant(def.name,
+                         Value::String(name + "_sparse" + std::to_string(i)));
+          continue;
+        }
+        // The first chronon of vls is stored only half the time, so some
+        // interpolated values stay undefined on a prefix of their vls.
+        const Lifespan vls = life.Intersect(def.lifespan);
+        for (TimePoint t : vls) {
+          if (rng->Chance(t == vls.Min() ? 0.5 : 0.15)) {
+            tb.SetAt(def.name, t,
+                     def.type == DomainType::kTime
+                         ? Value::Time(rng->Uniform(0, horizon - 1))
+                         : Value::Int(rng->Uniform(0, 4)));
+          }
+        }
+      }
+      auto row = std::move(tb).Build();
+      ASSERT_TRUE(row.ok()) << row.status().ToString();
+      EXPECT_TRUE(db->Insert(name, *std::move(row)).ok());
+    }
+  }
+}
+
 /// Tuple counts for RandomJoinStyleDb — the only knobs on which the join
 /// and parallel differential databases historically differed.
 struct JoinStyleDbConfig {
@@ -209,6 +256,10 @@ inline storage::Database RandomJoinStyleDb(uint64_t seed,
   };
   fill("na", na_scheme, "n", "X", cfg.na_tuples);
   fill("nb", nb_scheme, "m", "Y", cfg.nb_tuples);
+  // Not `ra`: the parallel suite also queries it bare, and a bare
+  // reference answers with the stored tuples in Eval and EvalMaterializing
+  // but with their interpolations in a drained plan.
+  AppendSparseRows(&rng, &db, {"rb", "na", "nb"}, 2, horizon);
   return db;
 }
 
@@ -234,6 +285,7 @@ inline storage::Database RandomUnionCompatibleDb(uint64_t seed) {
       EXPECT_TRUE(db.Insert(config.name, t).ok());
     }
   }
+  AppendSparseRows(&rng, &db, {"r0", "r1"}, 2, 60);
   return db;
 }
 
@@ -242,6 +294,26 @@ inline std::vector<uint64_t> DefaultFuzzSeeds() {
   std::vector<uint64_t> seeds(100);
   for (size_t i = 0; i < seeds.size(); ++i) seeds[i] = i + 1;
   return seeds;
+}
+
+/// Asserts that the databases `make_db` builds on the default seeds hold
+/// stored tuples on both sides of `Tuple::IsModelLevel`: the scan leaves
+/// pass model-level tuples through as stored and interpolate the others,
+/// so a differential suite that lacked either kind would leave one path
+/// unchecked against the oracle.
+template <typename MakeDb>
+void ExpectBothModelLevelSides(MakeDb make_db) {
+  size_t model = 0, sparse = 0;
+  for (uint64_t seed : DefaultFuzzSeeds()) {
+    const storage::Database db = make_db(seed);
+    for (const std::string& name : db.RelationNames()) {
+      for (const TuplePtr& t : (*db.Get(name))->tuple_ptrs()) {
+        ++(t->IsModelLevel() ? model : sparse);
+      }
+    }
+  }
+  EXPECT_GT(model, 0u) << sparse << " stored tuples, none model-level";
+  EXPECT_GT(sparse, 0u) << model << " stored tuples, all model-level";
 }
 
 }  // namespace hrdm::testing

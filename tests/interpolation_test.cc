@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/random.h"
+
 namespace hrdm {
 namespace {
 
@@ -127,6 +129,51 @@ TEST(InterpolationTest, ResultDomainAlwaysInsideTarget) {
     ASSERT_TRUE(g.ok());
     EXPECT_TRUE(target.ContainsAll(g->domain()))
         << InterpolationKindName(kind);
+  }
+}
+
+/// The value-level rule behind Tuple::IsModelLevel: a stored function whose
+/// domain is all of the target is left unchanged by every kind, and a
+/// discrete function is left unchanged by any target containing its
+/// domain. Random fragmented targets, random runs (equal neighbours are
+/// merged canonically, including across the target's gaps).
+TEST(InterpolationTest, IdentityWhenDomainCoversTarget) {
+  Rng rng(1987);
+  for (int iter = 0; iter < 500; ++iter) {
+    std::vector<Interval> ivs;
+    for (int64_t n = rng.Uniform(1, 4); n > 0; --n) {
+      const TimePoint b = rng.Uniform(0, 50);
+      ivs.push_back(Interval(b, b + rng.Uniform(0, 8)));
+    }
+    const Lifespan target = Lifespan::FromIntervals(std::move(ivs));
+    std::vector<Segment> total;
+    for (const Interval& iv : target.intervals()) {
+      for (TimePoint t = iv.begin; t <= iv.end;) {
+        const TimePoint e = std::min(iv.end, t + rng.Uniform(0, 3));
+        total.push_back({Interval(t, e), Value::Double(static_cast<double>(rng.Uniform(0, 2)))});
+        t = e + 1;
+      }
+    }
+    const TemporalValue f = Stored(total);
+    ASSERT_EQ(f.domain(), target);
+    for (auto kind : {InterpolationKind::kDiscrete,
+                      InterpolationKind::kStepwise,
+                      InterpolationKind::kLinear}) {
+      auto g = Interpolate(f, target, kind);
+      ASSERT_TRUE(g.ok());
+      EXPECT_EQ(*g, f) << InterpolationKindName(kind) << " on "
+                       << target.ToString() << ": " << f.ToString();
+    }
+    // Discrete only: any part of the function, inside a wider target.
+    std::vector<Segment> part;
+    for (const Segment& seg : total) {
+      if (rng.Chance(0.5)) part.push_back(seg);
+    }
+    const TemporalValue p = Stored(part);
+    auto g = Interpolate(p, target.Union(Span(0, 60)),
+                         InterpolationKind::kDiscrete);
+    ASSERT_TRUE(g.ok());
+    EXPECT_EQ(*g, p);
   }
 }
 

@@ -66,6 +66,13 @@ void ExpectAllStrategiesAgree(const storage::Database& db,
   hrdm::testing::ExpectMatchesOracle(db, hrql, *nested, reference);
 }
 
+TEST(JoinDifferentialTest, DatabasesHoldBothModelLevelSides) {
+  hrdm::testing::ExpectBothModelLevelSides([](uint64_t seed) {
+    return hrdm::testing::RandomJoinStyleDb(
+        seed, {.ra_tuples = 10, .na_tuples = 8, .nb_tuples = 7});
+  });
+}
+
 TEST(JoinDifferentialTest, RandomDatabases) {
   // ≥100 random databases; override seeds with HRDM_JOIN_DIFF_SEEDS=....
   for (uint64_t seed : hrdm::testing::SeedsFromEnv(

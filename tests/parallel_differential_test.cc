@@ -76,6 +76,10 @@ storage::Database RandomParallelDb(uint64_t seed) {
       seed, {.ra_tuples = 12, .na_tuples = 9, .nb_tuples = 7});
 }
 
+TEST(ParallelDifferentialTest, DatabasesHoldBothModelLevelSides) {
+  hrdm::testing::ExpectBothModelLevelSides(RandomParallelDb);
+}
+
 TEST(ParallelDifferentialTest, RandomDatabases) {
   // ≥100 random databases; override with HRDM_PARALLEL_FUZZ_SEEDS=....
   for (uint64_t seed : hrdm::testing::SeedsFromEnv(

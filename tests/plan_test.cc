@@ -391,6 +391,130 @@ TEST(PlanStreamingTest, EmptyBufferedSideStillEvaluatesStreamedSide) {
 }
 
 // ---------------------------------------------------------------------------
+// Scan leaves: model-level stored tuples pass through uninterpolated.
+// ---------------------------------------------------------------------------
+
+/// `m(Id*, S)` with stepwise S: even rows store S on their whole lifespan
+/// (model-level), odd rows store it at two chronons only (sparse).
+storage::Database MixedModelLevelDb() {
+  SchemePtr scheme = *RelationScheme::Make(
+      "m",
+      {{"Id", DomainType::kString, Span(0, 99), InterpolationKind::kDiscrete},
+       {"S", DomainType::kInt, Span(0, 99), InterpolationKind::kStepwise}},
+      {"Id"});
+  storage::Database db;
+  EXPECT_TRUE(db.CreateRelation(scheme).ok());
+  for (int i = 0; i < 40; ++i) {
+    const TimePoint b = i;
+    Tuple::Builder tb(scheme, Span(b, b + 30));
+    std::string id = "m";
+    id += std::to_string(i);
+    tb.SetConstant("Id", Value::String(std::move(id)));
+    if (i % 2 == 0) {
+      tb.SetConstant("S", Value::Int(i));
+    } else {
+      tb.SetAt("S", b, Value::Int(i));
+      tb.SetAt("S", b + 10, Value::Int(i + 1));
+    }
+    EXPECT_TRUE(db.Insert("m", *std::move(tb).Build()).ok());
+  }
+  return db;
+}
+
+/// Drains `cursor` and checks each emitted handle against the stored tuple
+/// at the same position: the stored handle itself when it is model-level,
+/// else a distinct handle to its interpolation.
+void ExpectModelLevelPassThrough(Cursor* cursor,
+                                 const std::vector<TuplePtr>& stored) {
+  size_t pos = 0, passed = 0, interpolated = 0;
+  while (true) {
+    auto batch = cursor->NextBatch();
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    if (*batch == nullptr) break;
+    for (const TuplePtr& got : **batch) {
+      ASSERT_LT(pos, stored.size());
+      const TuplePtr& want = stored[pos++];
+      if (want->IsModelLevel()) {
+        EXPECT_EQ(got.get(), want.get()) << want->ToString();
+        ++passed;
+      } else {
+        EXPECT_NE(got.get(), want.get()) << want->ToString();
+        EXPECT_EQ(*got, *want->Materialized());
+        ++interpolated;
+      }
+    }
+  }
+  EXPECT_EQ(pos, stored.size());
+  EXPECT_GT(passed, 0u);
+  EXPECT_GT(interpolated, 0u);
+}
+
+TEST(PlanScanModelLevelTest, ScanEmitsStoredHandleForModelLevelTuples) {
+  auto db = MixedModelLevelDb();
+  const Relation* m = *db.Get("m");
+  for (size_t parallelism : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    PlanContext ctx;
+    ctx.batch_size = 7;
+    ScanCursor scan(*m, parallelism, &ctx);
+    ExpectModelLevelPassThrough(&scan, m->tuple_ptrs());
+  }
+}
+
+TEST(PlanScanModelLevelTest, IndexScanEmitsStoredHandleForModelLevelTuples) {
+  auto db = MixedModelLevelDb();
+  const Relation* m = *db.Get("m");
+  for (size_t parallelism : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    PlanContext ctx;
+    ctx.batch_size = 7;
+    IndexProbeResult probe;
+    probe.candidates = m->tuple_ptrs();
+    IndexScanCursor scan(m->scheme(), std::move(probe),
+                         AccessPath::kLifespanIndex, parallelism, &ctx);
+    ExpectModelLevelPassThrough(&scan, m->tuple_ptrs());
+  }
+}
+
+TEST(PlanScanModelLevelTest, ForcedParallelPlansPassModelLevelHandles) {
+  auto db = MixedModelLevelDb();
+  ASSERT_TRUE(db.CreateLifespanIndex("m").ok());
+  const Relation* m = *db.Get("m");
+  // The window covers every tuple, so timeslice re-emits its input handles
+  // and the root batches show what the scan leaf produced.
+  auto expr = ParseExpr("timeslice(m, {[0, 99]})");
+  ASSERT_TRUE(expr.ok());
+  for (AccessPath path : {AccessPath::kFullScan, AccessPath::kLifespanIndex}) {
+    for (bool parallel : {false, true}) {
+      SCOPED_TRACE(std::string(parallel ? "parallel " : "serial ") +
+                   (path == AccessPath::kFullScan ? "full scan" : "index"));
+      PlanOptions options = DatabasePlanOptions(db);
+      options.force_access_path = path;
+      options.parallelism = parallel ? 4 : 1;
+      options.force_parallel = parallel;
+      auto plan = Plan::Lower(*expr, DatabaseResolver(db), options);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      size_t seen = 0;
+      while (true) {
+        auto batch = plan->NextBatch();
+        ASSERT_TRUE(batch.ok());
+        if (*batch == nullptr) break;
+        for (const TuplePtr& got : **batch) {
+          auto idx = m->FindByKey(got->KeyValues());
+          ASSERT_TRUE(idx.has_value());
+          const TuplePtr& stored = m->tuple_ptr(*idx);
+          EXPECT_EQ(got.get() == stored.get(), stored->IsModelLevel())
+              << stored->ToString();
+          ++seen;
+        }
+      }
+      EXPECT_EQ(seen, m->size());
+      EXPECT_EQ(plan->stats().parallelism, parallel ? 4u : 1u);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Copy-on-write relations.
 // ---------------------------------------------------------------------------
 

@@ -47,6 +47,94 @@ TEST(VarintTest, TruncatedIsCorruption) {
   EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
 }
 
+TEST(VarintTest, EmptyBufferIsCorruption) {
+  Reader r("");
+  auto back = r.GetVarint();
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(back.status().message().find("truncated varint"),
+            std::string::npos);
+  Reader s("");
+  EXPECT_FALSE(s.GetSignedVarint().ok());
+}
+
+TEST(VarintTest, TenthByteOverflowIsCorruption) {
+  // Nine continuation bytes carry 63 bits; the tenth may only add bit 63.
+  std::string max(9, '\xff');
+  max.push_back('\x01');
+  Reader ok(max);
+  auto back = ok.GetVarint();
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, UINT64_MAX);
+
+  std::string over(9, '\xff');
+  over.push_back('\x02');
+  Reader r(over);
+  auto bad = r.GetVarint();
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(bad.status().message().find("varint overflow"),
+            std::string::npos);
+}
+
+TEST(VarintTest, OverlongEncodingIsAccepted) {
+  // LEB128 allows padding with zero continuation groups; the reader takes
+  // `0x80 0x00` as 0 and consumes both bytes.
+  Reader r(std::string_view("\x80\x00\x05", 3));
+  auto zero = r.GetVarint();
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(*zero, 0u);
+  EXPECT_EQ(r.remaining(), 1u);
+  auto five = r.GetVarint();
+  ASSERT_TRUE(five.ok());
+  EXPECT_EQ(*five, 5u);
+  EXPECT_TRUE(r.AtEnd());
+}
+
+/// A bytewise LEB128 reader kept independent of Reader: the reference the
+/// differential test below holds GetVarint to. Returns the decoded value,
+/// or an error message, and advances `*pos` past the bytes consumed.
+Result<uint64_t> ReferenceVarint(std::string_view data, size_t* pos) {
+  uint64_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    if (*pos >= data.size()) return Status::Corruption("truncated varint");
+    const uint8_t byte = static_cast<uint8_t>(data[(*pos)++]);
+    if (shift >= 63 && byte > 1) return Status::Corruption("varint overflow");
+    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) return v;
+  }
+}
+
+TEST(VarintTest, MatchesBytewiseReferenceOnRandomBytes) {
+  Rng rng(20261020);
+  for (int iter = 0; iter < 20000; ++iter) {
+    // Short strings, mostly continuation bytes, so truncation, overflow,
+    // overlong and one-byte encodings all occur often.
+    std::string bytes(static_cast<size_t>(rng.Uniform(0, 14)), '\0');
+    for (char& c : bytes) {
+      const int64_t low = rng.Uniform(0, 0x7f);
+      c = static_cast<char>(rng.Chance(0.7) ? (low | 0x80) : low);
+    }
+    Reader r(bytes);
+    size_t ref_pos = 0;
+    // Read varints until the first error, comparing every step.
+    while (true) {
+      SCOPED_TRACE("iteration " + std::to_string(iter) + ", offset " +
+                   std::to_string(ref_pos));
+      auto want = ReferenceVarint(bytes, &ref_pos);
+      auto got = r.GetVarint();
+      ASSERT_EQ(got.ok(), want.ok());
+      if (!want.ok()) {
+        EXPECT_EQ(got.status().ToString(), want.status().ToString());
+        break;
+      }
+      EXPECT_EQ(*got, *want);
+      ASSERT_EQ(r.remaining(), bytes.size() - ref_pos);
+      if (r.AtEnd()) break;
+    }
+  }
+}
+
 TEST(StringTest, RoundTripAndTruncation) {
   std::string buf;
   PutString(&buf, "hello \0 world");
